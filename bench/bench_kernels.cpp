@@ -7,9 +7,12 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "autograd/grad_mode.hpp"
 #include "autograd/ops.hpp"
@@ -214,8 +217,10 @@ BENCHMARK(BM_PackSigns);
 
 void BM_WireBinaryVsFloat(benchmark::State& state) {
   // Ablation (DESIGN.md §5): bytes-on-wire for binary vs float32 transport
-  // of a device feature map. The timed work is the full encode, and the
-  // byte counters show the 32x payload difference.
+  // of a device feature map. The timed work is the full encode — the packed
+  // binary codec, or a plain float32 payload copy (the protocol has no
+  // float feature-map codec) — and the byte counters show the 32x payload
+  // difference.
   Rng rng(10);
   const Tensor feats = ops::sign(Tensor::randn(Shape{1, 4, 16, 16}, rng));
   const bool binary = state.range(0) == 1;
@@ -226,9 +231,12 @@ void BM_WireBinaryVsFloat(benchmark::State& state) {
       bytes = msg.payload_bytes();
       benchmark::DoNotOptimize(msg.payload.data());
     } else {
-      const auto msg = dist::encode_class_scores(feats);  // float32 payload
-      bytes = msg.payload_bytes();
-      benchmark::DoNotOptimize(msg.payload.data());
+      std::vector<std::uint8_t> payload(
+          static_cast<std::size_t>(feats.numel()) * sizeof(float));
+      std::memcpy(payload.data(), feats.data(), payload.size());
+      bytes = static_cast<std::int64_t>(payload.size());
+      benchmark::DoNotOptimize(payload.data());
+      benchmark::ClobberMemory();
     }
   }
   state.counters["payload_B"] = static_cast<double>(bytes);

@@ -49,15 +49,13 @@ Tensor decode_class_scores(const Message& msg, std::int64_t num_classes) {
 Message encode_binary_feature_map(const Tensor& features) {
   DDNN_CHECK(features.defined(), "encoding undefined tensor");
   // Precondition: the tensor really is binarized (exact +-1), otherwise
-  // packing would silently lose information.
-  for (std::int64_t i = 0; i < features.numel(); ++i) {
-    DDNN_CHECK(features[i] == 1.0f || features[i] == -1.0f,
-               "feature map is not binarized at index " << i << ": "
-                                                        << features[i]);
-  }
+  // packing would silently lose information. Checked while packing.
   Message msg;
   msg.kind = MessageKind::kBinaryFeatureMap;
-  msg.payload = pack_signs(features);
+  std::int64_t bad = -1;
+  msg.payload = pack_binarized(features, bad);
+  DDNN_CHECK(bad < 0, "feature map is not binarized at index "
+                          << bad << ": " << features.data()[bad]);
   return msg;
 }
 

@@ -1,5 +1,10 @@
 #include "nn/blocks.hpp"
 
+#include <algorithm>
+
+#include "util/error.hpp"
+#include "util/thread_pool.hpp"
+
 namespace ddnn::nn {
 
 namespace {
@@ -8,6 +13,35 @@ namespace {
 std::int64_t batch_norm_bytes(std::int64_t features) { return 4 * 4 * features; }
 
 }  // namespace
+
+Tensor pool_bn_sign(const Tensor& x, const MaxPool2d& pool,
+                    const BatchNorm& bn, infer::Workspace& ws) {
+  DDNN_CHECK(x.ndim() == 4 && x.dim(1) == bn.num_features(),
+             "pool_bn_sign: input " << x.shape().to_string() << " vs "
+                                    << bn.num_features() << " BN features");
+  Tensor out = ws.acquire(pool.out_shape(x.shape()));
+  ws.note_use(x);
+  const std::int64_t c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::int64_t in_plane = h * w;
+  const std::int64_t out_plane = out.dim(2) * out.dim(3);
+  const float* px = x.data();
+  float* po = out.data();
+  // Each plane is pooled straight into its output slot, then normalized
+  // and binarized in place while it is still in L1. Tasks get about 64k
+  // operations each, like the bitgemm kernels'.
+  const std::int64_t grain = std::max<std::int64_t>(1, 65536 / (2 * in_plane));
+  parallel_for(0, x.dim(0) * c, grain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t p = lo; p < hi; ++p) {
+      float* plane = po + p * out_plane;
+      pool.pool_plane(px + p * in_plane, h, w, plane);
+      const ops::BnChannel ch = bn.eval_channel(p % c);
+      for (std::int64_t i = 0; i < out_plane; ++i) {
+        plane[i] = ch.affine(ch.normalize(plane[i])) < 0.0f ? -1.0f : 1.0f;
+      }
+    }
+  });
+  return out;
+}
 
 FCBlock::FCBlock(std::int64_t in_features, std::int64_t out_features, Rng& rng,
                  bool binary_output)
@@ -92,8 +126,7 @@ Variable ConvPBlock::forward(const Variable& x) {
 }
 
 Tensor ConvPBlock::infer(const Tensor& x, infer::Workspace& ws) {
-  return sign_tensor(
-      bn_->infer(pool_->infer(conv_->infer(x, ws), ws), ws), ws);
+  return pool_bn_sign(conv_->infer(x, ws), *pool_, *bn_, ws);
 }
 
 std::int64_t ConvPBlock::inference_memory_bytes() const {

@@ -14,6 +14,15 @@
 
 namespace ddnn::nn {
 
+/// The ConvP block's fused tail: max pool -> eval-mode batch norm -> sign in
+/// one pass per [H, W] plane of `x`, straight into a ±1 workspace slot. It
+/// pools with the shared MaxPool2d window scan and normalizes through the
+/// same ops::BnChannel expression BatchNorm::infer applies, so the result
+/// is bit-identical to sign_tensor(bn.infer(pool.infer(x))) without that
+/// chain's four intermediate tensors.
+Tensor pool_bn_sign(const Tensor& x, const MaxPool2d& pool,
+                    const BatchNorm& bn, infer::Workspace& ws);
+
 /// Fused binary fully-connected block. With `binary_output == false` the
 /// final binary activation is omitted and the block emits float values —
 /// used for exit heads, whose output feeds softmax/entropy (the paper's
@@ -77,6 +86,8 @@ class ConvPBlock : public Module {
  public:
   ConvPBlock(std::int64_t in_channels, std::int64_t filters, Rng& rng);
   Variable forward(const Variable& x);
+  /// The binary conv (sign or XNOR kernel), then pool_bn_sign: two
+  /// workspace tensors per block.
   Tensor infer(const Tensor& x, infer::Workspace& ws);
 
   std::int64_t inference_memory_bytes() const;

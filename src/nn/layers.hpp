@@ -25,6 +25,7 @@
 #include "infer/workspace.hpp"
 #include "nn/module.hpp"
 #include "tensor/bitgemm.hpp"
+#include "tensor/tensor_ops.hpp"
 #include "util/rng.hpp"
 
 namespace ddnn::nn {
@@ -132,6 +133,18 @@ class MaxPool2d : public Module {
   Variable forward(const Variable& x);
   Tensor infer(const Tensor& x, infer::Workspace& ws);
 
+  /// Pooled shape of an [N, C, H, W] input.
+  Shape out_shape(const Shape& in) const;
+
+  /// Pool one [h, w] plane into `out` ([out_h, out_w] of out_shape). The one
+  /// window scan behind infer() and the fused ConvP tail: each window is
+  /// clamped to the plane and scanned ky-major, kx-minor from a -inf seed
+  /// with a `>` compare — autograd::max_pool2d's order and semantics, so the
+  /// selected values match it bit for bit, NaN and signed-zero inputs
+  /// included.
+  void pool_plane(const float* plane, std::int64_t h, std::int64_t w,
+                  float* out) const;
+
  private:
   std::int64_t kernel_, stride_, pad_;
 };
@@ -144,6 +157,9 @@ class BatchNorm : public Module {
   Variable forward(const Variable& x);
   /// Eval-mode normalization from running statistics (requires eval mode).
   Tensor infer(const Tensor& x, infer::Workspace& ws);
+
+  /// Eval-mode constants of channel `c`, as infer() applies them.
+  ops::BnChannel eval_channel(std::int64_t c) const;
 
   std::int64_t num_features() const { return features_; }
 

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "obs/profile.hpp"
+#include "tensor/bitpack.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -20,65 +21,75 @@ std::int64_t grain_for(std::int64_t work_per_index, std::int64_t total_indices) 
   return std::max<std::int64_t>(1, 65536 / per);
 }
 
-/// Valid kx subrange [lo, hi) of an ox row: the output positions whose input
-/// column ix = ox*stride - pad + kx is in bounds.
-void ox_range(std::int64_t kx, std::int64_t stride, std::int64_t pad,
-              std::int64_t in_w, std::int64_t ow, std::int64_t& lo,
-              std::int64_t& hi) {
-  const std::int64_t shift = pad - kx;  // ix = ox*stride - shift
-  lo = shift <= 0 ? 0 : (shift + stride - 1) / stride;
-  const std::int64_t last_num = in_w - 1 + shift;  // ox*stride <= last_num
-  hi = last_num < 0 ? 0 : std::min(ow, last_num / stride + 1);
-  lo = std::min(lo, hi);
-}
+/// Output columns per register tile and filters per block of sign_conv2d:
+/// 4 x 32 accumulators are sixteen 8-float vectors, held in registers on a
+/// 32-register AVX-512 core (measured 25 % faster there than 4 x 16 on the
+/// 32-wide device images, which fill a tile exactly).
+constexpr std::int64_t kTileW = 32;
+constexpr std::int64_t kTileF = 4;  // the tap body names s0..s3 / acc[0..3]
 
-/// Row loop of sign_conv2d. The output rows themselves are the accumulators,
-/// filled saxpy-style over contiguous input spans so the loop vectorizes.
-/// Each output's terms arrive in ascending patch-index order with
-/// out-of-bounds positions skipped, exactly like ops::im2col + matmul_nt;
-/// x * ±1.0f is exact, so fused multiply-adds cannot change the rounding.
-/// KW_T > 0 bakes that kernel width (and stride 1) into the instantiation.
-template <int KW_T>
-void sign_conv_rows(const float* px, const float* st, float* po,
-                    const Conv2dGeometry& g, std::int64_t f, std::int64_t oh,
-                    std::int64_t ow, std::int64_t lo, std::int64_t hi) {
-  const std::int64_t kw = KW_T > 0 ? KW_T : g.kernel_w;
-  const std::int64_t stride = KW_T > 0 ? 1 : g.stride;
-  for (std::int64_t r = lo; r < hi; ++r) {
-    const std::int64_t b = r / oh, oy = r % oh;
-    const float* img = px + b * g.in_channels * g.in_h * g.in_w;
-    float* orow = po + (b * f * oh + oy) * ow;
-    for (std::int64_t j = 0; j < f; ++j) {
-      std::fill_n(orow + j * oh * ow, ow, 0.0f);
+/// One image of sign_conv2d. The image is first copied into `padded`
+/// ([C][in_h + 2*pad][pw], zero outside the image, pw wide enough that the
+/// last ox tile reads in bounds). Then every (output row, block of kTileF
+/// filters, kTileW-wide ox tile) keeps its kTileF x kTileW accumulators in
+/// registers across all C*KH*KW taps, in ascending patch-index order —
+/// exactly ops::im2col + matmul_nt's order per output. A padded tap adds
+/// 0 * (±1) as im2col's explicit zero does, and x * ±1.0f is exact, so fused
+/// multiply-adds cannot change the rounding. A tail filter block repeats the
+/// last filter's signs and a tail tile computes lanes past ow; neither is
+/// stored. K_T > 0 bakes a K_T x K_T kernel (and stride 1) into the
+/// instantiation.
+template <int K_T>
+void sign_conv_image(const float* img, const Conv2dGeometry& g,
+                     const float* st, std::int64_t f,
+                     std::vector<float>& padded, float* out) {
+  const std::int64_t kh = K_T > 0 ? K_T : g.kernel_h;
+  const std::int64_t kw = K_T > 0 ? K_T : g.kernel_w;
+  const std::int64_t stride = K_T > 0 ? 1 : g.stride;
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  const std::int64_t ph = g.in_h + 2 * g.pad;
+  const std::int64_t tiles = (ow + kTileW - 1) / kTileW;
+  const std::int64_t pw =
+      std::max(g.in_w + 2 * g.pad, (tiles * kTileW - 1) * stride + kw);
+  padded.assign(static_cast<std::size_t>(g.in_channels * ph * pw), 0.0f);
+  for (std::int64_t c = 0; c < g.in_channels; ++c) {
+    for (std::int64_t iy = 0; iy < g.in_h; ++iy) {
+      std::copy_n(img + (c * g.in_h + iy) * g.in_w, g.in_w,
+                  padded.data() + (c * ph + iy + g.pad) * pw + g.pad);
     }
-    std::int64_t idx = 0;
-    for (std::int64_t c = 0; c < g.in_channels; ++c) {
-      const float* plane = img + c * g.in_h * g.in_w;
-      for (std::int64_t ky = 0; ky < g.kernel_h; ++ky) {
-        const std::int64_t iy = oy * stride - g.pad + ky;
-        if (iy < 0 || iy >= g.in_h) {
-          idx += kw;
-          continue;
-        }
-        const float* prow = plane + iy * g.in_w;
-        for (std::int64_t kx = 0; kx < kw; ++kx, ++idx) {
-          std::int64_t olo, ohi;
-          ox_range(kx, stride, g.pad, g.in_w, ow, olo, ohi);
-          const std::int64_t shift = kx - g.pad;
-          for (std::int64_t j = 0; j < f; ++j) {
-            const float sj = st[idx * f + j];
-            float* __restrict aj = orow + j * oh * ow;
-            if (stride == 1) {
-              const float* __restrict xr = prow + shift;
-              for (std::int64_t ox = olo; ox < ohi; ++ox) {
-                aj[ox] += xr[ox] * sj;
-              }
-            } else {
-              for (std::int64_t ox = olo; ox < ohi; ++ox) {
-                aj[ox] += prow[ox * stride + shift] * sj;
+  }
+  const float* pad_img = padded.data();
+
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    for (std::int64_t j0 = 0; j0 < f; j0 += kTileF) {
+      std::int64_t col[kTileF];
+      for (std::int64_t q = 0; q < kTileF; ++q) {
+        col[q] = std::min(j0 + q, f - 1);
+      }
+      for (std::int64_t ox0 = 0; ox0 < ow; ox0 += kTileW) {
+        float acc[kTileF][kTileW] = {};
+        const float* s = st;  // signs of tap idx at s[0, f)
+        for (std::int64_t c = 0; c < g.in_channels; ++c) {
+          for (std::int64_t ky = 0; ky < kh; ++ky) {
+            const float* row =
+                pad_img + (c * ph + oy * stride + ky) * pw + ox0 * stride;
+            for (std::int64_t kx = 0; kx < kw; ++kx, s += f) {
+              const float s0 = s[col[0]], s1 = s[col[1]];
+              const float s2 = s[col[2]], s3 = s[col[3]];
+              for (std::int64_t t = 0; t < kTileW; ++t) {
+                const float v = row[t * stride + kx];
+                acc[0][t] += v * s0;
+                acc[1][t] += v * s1;
+                acc[2][t] += v * s2;
+                acc[3][t] += v * s3;
               }
             }
           }
+        }
+        const std::int64_t nf = std::min(kTileF, f - j0);
+        const std::int64_t nw = std::min(kTileW, ow - ox0);
+        for (std::int64_t q = 0; q < nf; ++q) {
+          std::copy_n(acc[q], nw, out + ((j0 + q) * oh + oy) * ow + ox0);
         }
       }
     }
@@ -89,12 +100,8 @@ void pack_one_row(const float* src, std::int64_t cols, std::uint64_t* dst,
                   std::int64_t words) {
   for (std::int64_t w = 0; w < words; ++w) {
     const std::int64_t base = w * 64;
-    const std::int64_t m = std::min<std::int64_t>(64, cols - base);
-    std::uint64_t bits = 0;
-    for (std::int64_t j = 0; j < m; ++j) {
-      bits |= static_cast<std::uint64_t>(src[base + j] >= 0.0f) << j;
-    }
-    dst[w] = bits;
+    dst[w] =
+        pack_sign_word(src + base, std::min<std::int64_t>(64, cols - base));
   }
 }
 
@@ -132,17 +139,9 @@ PackedSigns pack_signs_matrix(const float* data, std::int64_t rows,
 bool all_pm1(const Tensor& t) {
   const float* p = t.data();
   const std::int64_t n = t.numel();
-  // Branchless blocks so the scan vectorizes; early exit once per block.
-  std::int64_t i = 0;
-  for (; i + 256 <= n; i += 256) {
-    bool bad = false;
-    for (std::int64_t j = 0; j < 256; ++j) {
-      bad |= (p[i + j] != 1.0f) & (p[i + j] != -1.0f);
-    }
-    if (bad) return false;
-  }
-  for (; i < n; ++i) {
-    if (p[i] != 1.0f && p[i] != -1.0f) return false;
+  // Vectorized blocks, with an early exit once per block.
+  for (std::int64_t i = 0; i < n; i += 256) {
+    if (any_non_pm1(p + i, std::min<std::int64_t>(256, n - i))) return false;
   }
   return true;
 }
@@ -265,12 +264,11 @@ void xnor_conv2d(const Tensor& x, const Conv2dGeometry& g, const PackedBits& w,
           continue;
         }
         for (std::int64_t kx = 0; kx < g.kernel_w; ++kx, ++idx) {
-          std::int64_t olo, ohi;
-          ox_range(kx, g.stride, g.pad, g.in_w, ow, olo, ohi);
+          const OutRange ox = valid_out_range(kx, g.stride, g.pad, g.in_w, ow);
           const std::uint64_t bit = std::uint64_t{1} << (idx & 63);
           const std::int64_t word = idx >> 6;
-          for (std::int64_t ox = olo; ox < ohi; ++ox) {
-            pm_row[ox * wpr + word] |= bit;
+          for (std::int64_t o = ox.lo; o < ox.hi; ++o) {
+            pm_row[o * wpr + word] |= bit;
           }
         }
       }
@@ -302,14 +300,10 @@ void xnor_conv2d(const Tensor& x, const Conv2dGeometry& g, const PackedBits& w,
           const float* plane =
               px + (b * g.in_channels + c) * g.in_h * g.in_w;
           for (std::int64_t iy = 0; iy < g.in_h; ++iy) {
-            const float* prow = plane + iy * g.in_w;
-            std::uint64_t bits = 0;
-            for (std::int64_t j = 0; j < g.in_w; ++j) {
-              bits |= static_cast<std::uint64_t>(prow[j] >= 0.0f) << j;
-            }
             row_bits[static_cast<std::size_t>((b * g.in_channels + c) *
                                                   g.in_h +
-                                              iy)] = bits;
+                                              iy)] =
+                pack_sign_word(plane + iy * g.in_w, g.in_w);
           }
         }
       }
@@ -354,14 +348,14 @@ void xnor_conv2d(const Tensor& x, const Conv2dGeometry& g, const PackedBits& w,
             const float* prow = plane + iy * g.in_w;
             for (std::int64_t kx = 0; kx < g.kernel_w; ++kx) {
               const std::int64_t j = idx + kx;
-              std::int64_t olo, ohi;
-              ox_range(kx, g.stride, g.pad, g.in_w, ow, olo, ohi);
+              const OutRange ox =
+                  valid_out_range(kx, g.stride, g.pad, g.in_w, ow);
               const std::int64_t shift = kx - g.pad;
               const std::int64_t word = j >> 6;
               const std::int64_t amount = j & 63;
-              for (std::int64_t ox = olo; ox < ohi; ++ox) {
-                const std::uint64_t set = prow[ox * g.stride + shift] >= 0.0f;
-                pb_row[ox * wpr + word] |= set << amount;
+              for (std::int64_t o = ox.lo; o < ox.hi; ++o) {
+                const std::uint64_t set = prow[o * g.stride + shift] >= 0.0f;
+                pb_row[o * wpr + word] |= set << amount;
               }
             }
           }
@@ -422,14 +416,23 @@ void sign_conv2d(const Tensor& x, const Conv2dGeometry& g,
   const float* px = x.data();
   const float* st = w.signs_t.data();
   float* po = out.data();
-  parallel_for(0, n * oh, grain_for(ow * patch * f, n * oh),
+  const std::int64_t in_plane = g.in_channels * g.in_h * g.in_w;
+  const std::int64_t out_plane = f * oh * ow;
+  parallel_for(0, n, grain_for(oh * ow * patch * f, n),
                [&](std::int64_t lo, std::int64_t hi) {
-    // KW_T = 3 bakes the common 3-wide stride-1 kernel into its own
-    // instantiation so the kx loop unrolls with constant shifts.
-    if (g.stride == 1 && g.kernel_w == 3) {
-      sign_conv_rows<3>(px, st, po, g, f, oh, ow, lo, hi);
-    } else {
-      sign_conv_rows<0>(px, st, po, g, f, oh, ow, lo, hi);
+    // Per-thread padded-image scratch, reused across calls (each chunk runs
+    // on one thread, so the reference resolves to that thread's buffer).
+    static thread_local std::vector<float> padded;
+    for (std::int64_t b = lo; b < hi; ++b) {
+      // K_T = 3 bakes the common 3x3 stride-1 kernel into its own
+      // instantiation: the ky and kx loops unroll with constant offsets.
+      if (g.stride == 1 && g.kernel_h == 3 && g.kernel_w == 3) {
+        sign_conv_image<3>(px + b * in_plane, g, st, f, padded,
+                           po + b * out_plane);
+      } else {
+        sign_conv_image<0>(px + b * in_plane, g, st, f, padded,
+                           po + b * out_plane);
+      }
     }
   });
 }

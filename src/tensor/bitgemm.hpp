@@ -17,9 +17,9 @@
 //
 // Both are therefore bit-identical to the autograd path (im2col + float
 // GEMM over sign(w)); padded positions contribute 0 * (±1) = ±0 there,
-// which never changes a partial sum, so the packed kernels may skip them.
-// The convolution kernels consume the input directly (no materialized col
-// matrix) and write NCHW output in place.
+// which never changes a partial sum that starts at +0, so the XNOR kernels
+// may mask them out. The convolution kernels never materialize the col
+// matrix and write NCHW output in place.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +76,9 @@ void sign_linear(const Tensor& x, const PackedSigns& w, Tensor& out);
 void xnor_conv2d(const Tensor& x, const Conv2dGeometry& g, const PackedBits& w,
                  Tensor& out);
 
-/// Binary convolution over a float input: direct sign-accumulate in im2col
-/// patch order (c, ky, kx), skipping padded positions.
+/// Binary convolution over a float input: register-tiled sign-accumulate
+/// over a zero-padded copy of each image, every output's terms added in
+/// im2col patch order (c, ky, kx) from +0 (see bitgemm.cpp).
 void sign_conv2d(const Tensor& x, const Conv2dGeometry& g,
                  const PackedSigns& w, Tensor& out);
 

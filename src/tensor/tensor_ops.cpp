@@ -311,20 +311,19 @@ void batch_norm_apply(const Tensor& x, const Tensor& gamma, const Tensor& beta,
              "batch_norm_apply: output size mismatch");
 
   for (std::int64_t c = 0; c < channels; ++c) {
-    inv_std[c] = 1.0f / std::sqrt(var[c] + eps);
+    inv_std[c] = BnChannel::of(gamma[c], beta[c], mean[c], var[c], eps).inv_std;
   }
   const float* px = x.data();
   float* ph = x_hat.data();
   float* po = out.data();
   for (std::int64_t b = 0; b < batch; ++b) {
     for (std::int64_t c = 0; c < channels; ++c) {
-      const float m = mean[c], is = inv_std[c];
-      const float ga = gamma[c], be = beta[c];
+      const BnChannel ch{mean[c], inv_std[c], gamma[c], beta[c]};
       const std::int64_t base = (b * channels + c) * spatial;
       for (std::int64_t s = 0; s < spatial; ++s) {
-        const float xh = (px[base + s] - m) * is;
+        const float xh = ch.normalize(px[base + s]);
         ph[base + s] = xh;
-        po[base + s] = ga * xh + be;
+        po[base + s] = ch.affine(xh);
       }
     }
   }

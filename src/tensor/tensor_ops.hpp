@@ -5,6 +5,7 @@
 // *_into variants accumulate in place and are used on gradient buffers.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -69,6 +70,26 @@ void add_row_vector_inplace(Tensor& x, const Tensor& b);
 Tensor sum_rows(const Tensor& x);
 
 // ---------------------------------------------------------------- batch norm
+
+/// Normalization constants of one batch-norm channel, and the one
+/// expression that applies them. batch_norm_apply and the fused ConvP tail
+/// (nn::pool_bn_sign) both evaluate through this inline helper rather
+/// than each spelling the formula: g++ contracts `gamma * x_hat + beta` into
+/// an FMA under the shipped -std=c++20 -O3 -march=native, and a second copy
+/// of the expression would be free to round differently.
+struct BnChannel {
+  float mean;
+  float inv_std;
+  float gamma;
+  float beta;
+
+  static BnChannel of(float gamma, float beta, float mean, float var,
+                      float eps) {
+    return {mean, 1.0f / std::sqrt(var + eps), gamma, beta};
+  }
+  float normalize(float x) const { return (x - mean) * inv_std; }
+  float affine(float x_hat) const { return gamma * x_hat + beta; }
+};
 
 /// Batch-norm normalization pass over [N, F] (spatial size 1) or
 /// [N, C, H, W] (per-channel over N*H*W):

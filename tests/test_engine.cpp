@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "dist/runtime.hpp"
 #include "infer/engine.hpp"
 #include "infer/workspace.hpp"
+#include "nn/blocks.hpp"
 #include "nn/layers.hpp"
 #include "nn/serialize.hpp"
 #include "tensor/bitgemm.hpp"
@@ -271,6 +274,195 @@ TEST(Bitgemm, SignConv2dMatchesAutogradConvOnFloatInput) {
   expect_bitwise_equal(out, ref);
 }
 
+// ------------------------------- ConvP kernels: geometry sweep parity
+
+/// One conv geometry of the sweep (the pool is the ConvP block's 3/2/1).
+struct SweepGeometry {
+  std::int64_t batch, channels, filters, h, w, kernel, stride, pad;
+};
+
+std::string describe(const SweepGeometry& s) {
+  std::ostringstream os;
+  os << "b" << s.batch << " c" << s.channels << " f" << s.filters << " "
+     << s.h << "x" << s.w << " k" << s.kernel << " s" << s.stride << " p"
+     << s.pad;
+  return os.str();
+}
+
+/// Each axis swept across its values around a base geometry: channel
+/// counts, filter counts that are not a multiple of the 4-filter block,
+/// widths that are not a multiple of the ox tile, every (kernel, stride,
+/// pad) combination and batch sizes.
+std::vector<SweepGeometry> convp_sweep() {
+  const SweepGeometry base{3, 3, 5, 17, 16, 3, 1, 1};
+  std::vector<SweepGeometry> out;
+  for (const std::int64_t c : {1, 3, 4, 24}) {
+    out.push_back(base);
+    out.back().channels = c;
+  }
+  for (const std::int64_t f : {1, 3, 4, 5, 16}) {
+    out.push_back(base);
+    out.back().filters = f;
+  }
+  for (const std::int64_t h : {7, 16, 17, 33}) {
+    for (const std::int64_t w : {7, 16, 17, 33}) {
+      out.push_back(base);
+      out.back().h = h;
+      out.back().w = w;
+    }
+  }
+  for (const std::int64_t k : {1, 3, 5}) {
+    for (const std::int64_t st : {1, 2}) {
+      for (const std::int64_t pad : {0, 1, 2}) {
+        out.push_back(base);
+        out.back().kernel = k;
+        out.back().stride = st;
+        out.back().pad = pad;
+      }
+    }
+  }
+  for (const std::int64_t b : {1, 3, 64}) {
+    out.push_back(base);
+    out.back().batch = b;
+  }
+  return out;
+}
+
+/// Uniform noise with exact +0.0 / -0.0 and large magnitudes mixed in.
+Tensor sweep_input(const Shape& shape, Rng& rng) {
+  Tensor x = Tensor::rand_uniform(shape, rng, -2.0f, 2.0f);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    switch (i % 13) {
+      case 0: x[i] = 0.0f; break;
+      case 5: x[i] = -0.0f; break;
+      case 9: x[i] *= 1e18f; break;
+      default: break;
+    }
+  }
+  return x;
+}
+
+/// Random BN affine parameters and running statistics, about half the
+/// gammas negative (the default BN — gamma 1, beta 0, mean 0, var 1 —
+/// cannot tell a swapped or dropped term apart).
+void randomize_batch_norm(nn::Module& m, Rng& rng) {
+  for (auto& p : m.named_parameters()) {
+    const bool gamma = p.name.ends_with("gamma");
+    const bool beta = p.name.ends_with("beta");
+    if (!gamma && !beta) continue;
+    Tensor& v = p.var.value();
+    for (std::int64_t i = 0; i < v.numel(); ++i) {
+      v[i] = static_cast<float>(rng.uniform(-1.5, 1.5));
+    }
+  }
+  for (auto& [name, t] : m.named_buffers()) {
+    const bool var = name.ends_with("running_var");
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      t[i] = static_cast<float>(var ? rng.uniform(0.05, 4.0)
+                                     : rng.uniform(-3.0, 3.0));
+    }
+  }
+}
+
+TEST(ConvPKernels, GeometrySweepBitIdenticalToAutogradChain) {
+  Rng rng(41);
+  for (const SweepGeometry& s : convp_sweep()) {
+    nn::BinaryConv2d conv(s.channels, s.filters, s.kernel, s.stride, s.pad,
+                          rng);
+    nn::MaxPool2d pool(3, 2, 1);
+    nn::BatchNorm bn(s.filters);
+    randomize_batch_norm(bn, rng);
+    conv.set_training(false);
+    bn.set_training(false);
+    const Shape shape{s.batch, s.channels, s.h, s.w};
+    // Float input runs the register-tiled sign conv, ±1 input the XNOR one.
+    for (const Tensor& x : {sweep_input(shape, rng),
+                            signs_of(Tensor::randn(shape, rng))}) {
+      autograd::NoGradGuard no_grad;
+      const Variable ref_conv = conv.forward(Variable(x));
+      const Tensor ref =
+          autograd::binarize(bn.forward(pool.forward(ref_conv))).value();
+      infer::Workspace ws;
+      const infer::SectionDesc desc{infer::SectionTier::kDevice,
+                                    infer::next_section_id(), "convp_sweep"};
+      auto body = [&](const std::vector<Tensor>& in, infer::Workspace& w) {
+        Tensor h = conv.infer(in[0], w);
+        Tensor out = nn::pool_bn_sign(h, pool, bn, w);
+        return std::vector<Tensor>{h, out};
+      };
+      for (const int threads : {1, 4}) {
+        PoolSizeGuard guard(threads);
+        SCOPED_TRACE(describe(s) + " threads " + std::to_string(threads) +
+                     (bitgemm::all_pm1(x) ? " xnor" : " sign"));
+        const auto got = infer::run_section(ws, desc, {x}, "", body);
+        expect_bitwise_equal(got[0], ref_conv.value());
+        expect_bitwise_equal(got[1], ref);
+      }
+    }
+  }
+}
+
+TEST(ConvPKernels, BlockPlansTwoWorkspaceTensors) {
+  // The conv output and the fused tail's ±1 output are the block's only
+  // planner intervals: the pool, BN (inv_std, x_hat, out) and sign
+  // intermediates of the layer-by-layer chain never reach the workspace.
+  Rng rng(45);
+  nn::ConvPBlock block(3, 4, rng);
+  block.set_training(false);
+  infer::Workspace ws;
+  const infer::SectionDesc desc{infer::SectionTier::kDevice,
+                                infer::next_section_id(), "convp_intervals"};
+  auto body = [&](const std::vector<Tensor>& in, infer::Workspace& w) {
+    return std::vector<Tensor>{block.infer(in[0], w)};
+  };
+  const Tensor x = Tensor::rand_uniform(Shape{1, 3, 32, 32}, rng, 0.0f, 1.0f);
+  const auto out = infer::run_section(ws, desc, {x}, "", body);
+  EXPECT_EQ(out[0].shape(), (Shape{1, 4, 16, 16}));
+  // Two record-pass acquires, plus the packed arena built after them.
+  EXPECT_EQ(ws.alloc_count(), 3u);
+}
+
+TEST(ConvPKernels, PoolScanMatchesAutogradOnNonFiniteAndSignedZeros) {
+  // The clamped-window scan keeps autograd's tap order, -inf seed and `>`
+  // compare, so NaN taps are never selected and the first of +0/-0 wins.
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            0.0f, -0.0f, -1.0f, 1.0f};
+  // Specials sit on the odd squares of a 9x9 checkerboard. autograd
+  // requires a finite winner in every window, and every clamped window here
+  // but a 1x1 one at stride 1 covers an even square (the corners are even).
+  Rng rng(42);
+  Tensor x = Tensor::randn(Shape{2, 3, 9, 9}, rng);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const std::int64_t iy = (i / 9) % 9, ix = i % 9;
+    if ((iy + ix) % 2 == 1) x[i] = specials[(i / 2) % 7];
+  }
+  // Every window of a plane of +0/-0 ties (and some -1s) peaks at zero, so
+  // the winner's sign bit shows whether the taps were visited in order.
+  Tensor zeros(Shape{1, 2, 9, 9});
+  for (std::int64_t i = 0; i < zeros.numel(); ++i) {
+    const std::uint64_t r = rng.uniform_index(5);
+    zeros[i] = r < 2 ? 0.0f : (r < 4 ? -0.0f : -1.0f);
+  }
+  for (const Tensor& in : {x, zeros}) {
+    for (const std::int64_t k : {1, 2, 3, 5}) {
+      for (const std::int64_t st : {1, 2}) {
+        for (const std::int64_t pad : {0, 1, 2}) {
+          if (pad >= k || (k == 1 && st == 1)) continue;
+          nn::MaxPool2d pool(k, st, pad);
+          autograd::NoGradGuard no_grad;
+          const Tensor ref = pool.forward(Variable(in)).value();
+          infer::Workspace ws;
+          SCOPED_TRACE("k" + std::to_string(k) + " s" + std::to_string(st) +
+                       " p" + std::to_string(pad));
+          expect_bitwise_equal(pool.infer(in, ws), ref);
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------- full-model engine parity grid
 
 std::vector<Variable> parity_views(int n, std::uint64_t seed = 5) {
@@ -442,6 +634,25 @@ TEST(EngineParity, PoisonModeKeepsEverySectionBitIdentical) {
   for (int pass = 0; pass < 2; ++pass) {  // record pass, then poisoned replay
     const auto got = run_engine(model, views, mask, infer::EngineKind::kPlan);
     expect_outputs_bitwise_equal(ref, got);
+  }
+}
+
+TEST(EngineParity, RandomizedBatchNormStatsBitIdenticalAcrossEngines) {
+  // Every BN in the model (device, edge and cloud ConvP tails, FC blocks,
+  // exit heads) with random running statistics and negative gammas.
+  auto cfg = DdnnConfig::preset(HierarchyPreset::kDevicesEdgesCloud);
+  cfg.validate();
+  DdnnModel model(cfg);
+  Rng rng(43);
+  randomize_batch_norm(model, rng);
+  model.set_training(false);
+  const auto views = parity_views(cfg.num_devices, 44);
+  const std::vector<bool> all(static_cast<std::size_t>(cfg.num_devices), true);
+  for (const int threads : {1, 4}) {
+    PoolSizeGuard pool(threads);
+    expect_outputs_bitwise_equal(
+        run_engine(model, views, all, infer::EngineKind::kAutograd),
+        run_engine(model, views, all, infer::EngineKind::kPlan));
   }
 }
 

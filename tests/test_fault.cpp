@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "dist/fault.hpp"
@@ -53,6 +55,39 @@ TEST(Codec, BinaryFeatureMapRejectsNearlyBinaryValues) {
   EXPECT_THROW(encode_binary_feature_map(
                    Tensor::from_vector(Shape{2}, {0.9999999f, -1.0f})),
                Error);
+}
+
+TEST(Codec, BinaryFeatureMapRejectsLastIndexAndNaNNamingFirstBadIndex) {
+  // The one-pass validate-and-pack must still check every element: a bad
+  // value in the last, partial word and a NaN are both rejected, and the
+  // error names the first offending index.
+  auto error_of = [](const Tensor& t) {
+    try {
+      encode_binary_feature_map(t);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  Tensor t = Tensor::ones(Shape{1, 1030});
+  for (std::int64_t i = 1; i < t.numel(); i += 2) t[i] = -1.0f;
+  EXPECT_NO_THROW(encode_binary_feature_map(t));
+
+  Tensor last = t.clone();
+  last[1029] = 0.5f;
+  EXPECT_NE(error_of(last).find("at index 1029:"), std::string::npos)
+      << error_of(last);
+
+  Tensor nan = t.clone();
+  nan[700] = std::numeric_limits<float>::quiet_NaN();
+  nan[900] = 2.0f;
+  EXPECT_NE(error_of(nan).find("at index 700:"), std::string::npos)
+      << error_of(nan);
+
+  Tensor zero = t.clone();
+  zero[64] = -0.0f;
+  EXPECT_NE(error_of(zero).find("at index 64:"), std::string::npos)
+      << error_of(zero);
 }
 
 TEST(Codec, BinaryDecoderRejectsWrongPayloadSize) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <cmath>
 
 #include "tensor/bitpack.hpp"
@@ -247,6 +249,32 @@ TEST(Bitpack, UnpackValidatesSize) {
   std::vector<std::uint8_t> bytes(2, 0);
   EXPECT_THROW(unpack_signs(bytes, Shape{17}), Error);
   EXPECT_NO_THROW(unpack_signs(bytes, Shape{16}));
+}
+
+TEST(Bitpack, WordPackingMatchesPerBitReference) {
+  // Word-at-a-time packing must produce exactly the per-bit layout (bit i
+  // in byte i / 8, position i % 8, set for x >= 0) at sizes around the
+  // 64-value word, for -0.0 (set), NaN (clear) and infinities too.
+  const float specials[] = {-0.0f, 0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  Rng rng(22);
+  for (const auto n : {1, 63, 64, 65, 130, 1024}) {
+    Tensor t = Tensor::randn(Shape{n}, rng);
+    for (std::int64_t i = 0; i < n; i += 7) t[i] = specials[(i / 7) % 5];
+    std::vector<std::uint8_t> want(
+        static_cast<std::size_t>(packed_size_bytes(n)));
+    for (std::int64_t i = 0; i < n; ++i) {
+      if (t[i] >= 0.0f) want[static_cast<std::size_t>(i / 8)] |= 1u << (i % 8);
+    }
+    EXPECT_EQ(pack_signs(t), want) << "n=" << n;
+    const Tensor back = unpack_signs(want, Shape{n});
+    for (std::int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(back[i], t[i] >= 0.0f ? 1.0f : -1.0f)
+          << "n=" << n << " i=" << i;
+    }
+  }
 }
 
 TEST(Bitpack, TrailingBitsAreZero) {

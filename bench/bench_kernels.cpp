@@ -11,11 +11,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "autograd/grad_mode.hpp"
 #include "autograd/ops.hpp"
+#include "core/aggregator.hpp"
 #include "core/entropy.hpp"
 #include "core/model.hpp"
 #include "dist/message.hpp"
@@ -187,6 +189,56 @@ void BM_BinaryConv2dInfer(benchmark::State& state) {
 }
 BENCHMARK(BM_BinaryConv2dInfer);
 
+void BM_CloudXnorConv(benchmark::State& state) {
+  // The model's XNOR conv: the cloud ConvP block's 16 -> 48 binary conv
+  // over the ±1 8x8 edge features, at batch Arg.
+  Rng rng(8);
+  nn::BinaryConv2d conv(16, 48, 3, 1, 1, rng);
+  conv.set_training(false);
+  const Tensor x =
+      ops::sign(Tensor::randn(Shape{state.range(0), 16, 8, 8}, rng));
+  infer::Workspace ws;
+  const infer::SectionDesc desc{infer::SectionTier::kCloud,
+                                infer::next_section_id(), "bench_cloud_xnor"};
+  auto body = [&](const std::vector<Tensor>& in, infer::Workspace& w) {
+    return std::vector<Tensor>{conv.infer(in[0], w)};
+  };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(infer::run_section(ws, desc, {x}, "", body));
+  }
+}
+BENCHMARK(BM_CloudXnorConv)->Arg(1)->Arg(64);
+
+/// The edge's CC fuse inputs: six ±1 device feature maps [batch, 4, 16, 16].
+std::vector<Tensor> edge_branches(std::int64_t batch, Rng& rng) {
+  std::vector<Tensor> out;
+  for (int i = 0; i < 6; ++i) {
+    out.push_back(ops::sign(Tensor::randn(Shape{batch, 4, 16, 16}, rng)));
+  }
+  return out;
+}
+
+void BM_EdgeCcFuse(benchmark::State& state) {
+  // The edge's CC fuse of six device feature maps through the 1x1
+  // projection (24 -> 4 channels), at batch Arg.
+  Rng rng(8);
+  core::FeatureMapAggregator agg(core::AggKind::kConcat, 6, 4, rng);
+  agg.set_training(false);
+  const std::vector<Tensor> branches = edge_branches(state.range(0), rng);
+  const std::vector<bool> active(6, true);
+  infer::Workspace ws;
+  const infer::SectionDesc desc{infer::SectionTier::kEdge,
+                                infer::next_section_id(), "bench_edge_cc"};
+  auto body = [&](const std::vector<Tensor>& in, infer::Workspace& w) {
+    return std::vector<Tensor>{agg.infer(in, active, w)};
+  };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        infer::run_section(ws, desc, branches, "111111", body));
+  }
+}
+BENCHMARK(BM_EdgeCcFuse)->Arg(1)->Arg(64);
+
 void BM_BinaryLinearInfer(benchmark::State& state) {
   Rng rng(8);
   nn::BinaryLinear fc(1024, 128, rng);
@@ -285,14 +337,28 @@ double min_time_ms(Fn&& fn, int warmup = 10, int reps = 120) {
 }
 
 struct EngineRow {
-  const char* name;
+  std::string name;
   double autograd_ms;
   double engine_ms;
   double speedup() const { return autograd_ms / engine_ms; }
 };
 
+/// Best-of-N wall time of `body` run as a planned section over `inputs`.
+double section_time_ms(
+    const std::vector<Tensor>& inputs, const std::string& sig,
+    const std::function<std::vector<Tensor>(const std::vector<Tensor>&,
+                                            infer::Workspace&)>& body) {
+  infer::Workspace ws;
+  const infer::SectionDesc desc{infer::SectionTier::kDevice,
+                                infer::next_section_id(), "bench_cmp"};
+  return min_time_ms([&] {
+    benchmark::DoNotOptimize(infer::run_section(ws, desc, inputs, sig, body));
+  });
+}
+
 /// Times the autograd forward against the engine plan on the binarized
-/// primitives and a full device section, and writes BENCH_engine.json to
+/// primitives, the model's cloud XNOR conv and edge CC fuse at batch 1 and
+/// 64, and a full device section, and writes BENCH_engine.json to
 /// $DDNN_RESULTS_DIR (default `results/`). The engine acceptance bar
 /// is the device-section row: >= 3x over the autograd path at batch 1.
 void write_engine_comparison() {
@@ -305,17 +371,12 @@ void write_engine_comparison() {
     conv.set_training(false);
     const Tensor x = ops::sign(Tensor::randn(Shape{8, 4, 16, 16}, rng));
     const Variable vx(x);
-    infer::Workspace ws;
-    const infer::SectionDesc desc{infer::SectionTier::kDevice,
-                                  infer::next_section_id(), "cmp_binary_conv"};
-    auto body = [&](const std::vector<Tensor>& in, infer::Workspace& w) {
-      return std::vector<Tensor>{conv.infer(in[0], w)};
-    };
     rows.push_back(
         {"binary_conv",
          min_time_ms([&] { benchmark::DoNotOptimize(conv.forward(vx)); }),
-         min_time_ms([&] {
-           benchmark::DoNotOptimize(infer::run_section(ws, desc, {x}, "", body));
+         section_time_ms({x}, "", [&](const std::vector<Tensor>& in,
+                                      infer::Workspace& w) {
+           return std::vector<Tensor>{conv.infer(in[0], w)};
          })});
   }
   {
@@ -323,18 +384,44 @@ void write_engine_comparison() {
     fc.set_training(false);
     const Tensor x = ops::sign(Tensor::randn(Shape{8, 1024}, rng));
     const Variable vx(x);
-    infer::Workspace ws;
-    const infer::SectionDesc desc{infer::SectionTier::kDevice,
-                                  infer::next_section_id(), "cmp_binary_fc"};
-    auto body = [&](const std::vector<Tensor>& in, infer::Workspace& w) {
-      return std::vector<Tensor>{fc.infer(in[0], w)};
-    };
     rows.push_back(
         {"binary_fc",
          min_time_ms([&] { benchmark::DoNotOptimize(fc.forward(vx)); }),
-         min_time_ms([&] {
-           benchmark::DoNotOptimize(infer::run_section(ws, desc, {x}, "", body));
+         section_time_ms({x}, "", [&](const std::vector<Tensor>& in,
+                                      infer::Workspace& w) {
+           return std::vector<Tensor>{fc.infer(in[0], w)};
          })});
+  }
+  for (const std::int64_t batch : {1, 64}) {
+    const std::string tag = "_b" + std::to_string(batch);
+    nn::BinaryConv2d conv(16, 48, 3, 1, 1, rng);
+    conv.set_training(false);
+    const Tensor x = ops::sign(Tensor::randn(Shape{batch, 16, 8, 8}, rng));
+    const Variable vx(x);
+    rows.push_back(
+        {"cloud_xnor_conv" + tag,
+         min_time_ms([&] { benchmark::DoNotOptimize(conv.forward(vx)); }),
+         section_time_ms({x}, "", [&](const std::vector<Tensor>& in,
+                                      infer::Workspace& w) {
+           return std::vector<Tensor>{conv.infer(in[0], w)};
+         })});
+
+    core::FeatureMapAggregator agg(core::AggKind::kConcat, 6, 4, rng);
+    agg.set_training(false);
+    const std::vector<Tensor> branches = edge_branches(batch, rng);
+    const std::vector<Variable> vbranches(branches.begin(), branches.end());
+    const std::vector<bool> active(6, true);
+    rows.push_back(
+        {"edge_cc_fuse" + tag,
+         min_time_ms([&] {
+           benchmark::DoNotOptimize(agg.forward(vbranches, active));
+         }),
+         section_time_ms(branches, "111111",
+                         [&](const std::vector<Tensor>& in,
+                             infer::Workspace& w) {
+                           return std::vector<Tensor>{
+                               agg.infer(in, active, w)};
+                         })});
   }
   {
     // A full device section (trunk + local exit head) at batch 1: the
@@ -371,7 +458,7 @@ void write_engine_comparison() {
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"autograd_ms\": %.6f, "
                  "\"engine_ms\": %.6f, \"speedup\": %.2f}%s\n",
-                 r.name, r.autograd_ms, r.engine_ms, r.speedup(),
+                 r.name.c_str(), r.autograd_ms, r.engine_ms, r.speedup(),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -379,8 +466,8 @@ void write_engine_comparison() {
   std::printf("\nautograd vs engine (best-of-120, written to %s):\n",
               path.c_str());
   for (const auto& r : rows) {
-    std::printf("  %-16s autograd %8.4f ms   engine %8.4f ms   %5.2fx\n",
-                r.name, r.autograd_ms, r.engine_ms, r.speedup());
+    std::printf("  %-20s autograd %8.4f ms   engine %8.4f ms   %5.2fx\n",
+                r.name.c_str(), r.autograd_ms, r.engine_ms, r.speedup());
   }
 }
 

@@ -8,6 +8,7 @@
 #include "obs/profile.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ddnn::core {
 
@@ -134,41 +135,63 @@ Tensor infer_stack_mean(const std::vector<Tensor>& branches,
   return out;
 }
 
-/// autograd::concat(zero_filled_branches(...), 1): inactive slots become
-/// zero blocks, so the learned projection sees one slot per branch.
-Tensor infer_concat_axis1(const std::vector<Tensor>& branches,
+/// The CC projection's GEMM operand, gathered straight from the branches.
+/// Row (b, p) of the [B*H*W, n*C] result holds every branch's C channels at
+/// pixel p of image b, in branch order, with zeros for inactive slots: the
+/// rows im2col builds from autograd::concat(zero_filled_branches(...), 1)
+/// for the feature maps' 1x1 conv, and that concat itself for [B, C] score
+/// vectors (H*W = 1). No concat tensor is materialized.
+Tensor gather_concat_rows(const std::vector<Tensor>& branches,
                           const std::vector<bool>& active,
                           infer::Workspace& ws) {
   count_active(branches, active);
   const Shape& s0 = branches[0].shape();
   DDNN_CHECK(s0.ndim() >= 2, "concat aggregation needs rank >= 2");
-  const std::int64_t outer = s0[0];
-  std::int64_t inner = 1;
-  for (std::size_t d = 2; d < s0.ndim(); ++d) inner *= s0[d];
-  const std::int64_t ext = s0[1];
-  const std::int64_t total =
-      ext * static_cast<std::int64_t>(branches.size());
-  std::vector<std::int64_t> out_dims = s0.dims();
-  out_dims[1] = total;
-  Tensor out = ws.acquire(Shape(out_dims));
-  for (std::size_t i = 0; i < branches.size(); ++i) {
-    if (active[i]) ws.note_use(branches[i]);
-  }
-  float* po = out.data();
-  std::int64_t offset = 0;
+  const std::int64_t batch = s0[0], ch = s0[1];
+  std::int64_t pixels = 1;
+  for (std::size_t d = 2; d < s0.ndim(); ++d) pixels *= s0[d];
+  const std::int64_t k = ch * static_cast<std::int64_t>(branches.size());
+  Tensor rows = ws.acquire(Shape{batch * pixels, k});
   for (std::size_t i = 0; i < branches.size(); ++i) {
     DDNN_CHECK(branches[i].shape() == s0, "concat aggregation shape mismatch");
-    for (std::int64_t o = 0; o < outer; ++o) {
-      float* dst = po + (o * total + offset) * inner;
-      if (active[i]) {
-        std::copy_n(branches[i].data() + o * ext * inner, ext * inner, dst);
-      } else {
-        std::fill_n(dst, ext * inner, 0.0f);
+    if (active[i]) ws.note_use(branches[i]);
+  }
+  float* pr = rows.data();
+  // Images write disjoint row blocks of about 16k floats per task; every
+  // element is written (the rows may be a recycled planner arena).
+  parallel_for(0, batch, std::max<std::int64_t>(1, 16384 / (pixels * k)),
+               [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t b = lo; b < hi; ++b) {
+      for (std::size_t i = 0; i < branches.size(); ++i) {
+        float* dst = pr + b * pixels * k + static_cast<std::int64_t>(i) * ch;
+        if (!active[i]) {
+          for (std::int64_t p = 0; p < pixels; ++p) {
+            std::fill_n(dst + p * k, ch, 0.0f);
+          }
+          continue;
+        }
+        const float* src = branches[i].data() + b * ch * pixels;
+        for (std::int64_t c = 0; c < ch; ++c) {
+          for (std::int64_t p = 0; p < pixels; ++p) {
+            dst[p * k + c] = src[c * pixels + p];
+          }
+        }
       }
     }
-    offset += ext;
-  }
-  return out;
+  });
+  return rows;
+}
+
+/// CC's learned projection over the gathered rows: nn::Linear takes them as
+/// its input, the feature maps' 1x1 nn::Conv2d as its GEMM operand.
+Tensor project_rows(nn::Linear& projection, const Tensor& rows,
+                    const Shape&, infer::Workspace& ws) {
+  return projection.infer(rows, ws);
+}
+
+Tensor project_rows(nn::Conv2d& projection, const Tensor& rows,
+                    const Shape& branch, infer::Workspace& ws) {
+  return projection.infer_cols(rows, branch[0], branch[2], branch[3], ws);
 }
 
 /// autograd::stack_gated_sum forward: softmax over the active gates only
@@ -228,7 +251,9 @@ Tensor aggregate_infer(AggKind kind, int num_branches,
     case AggKind::kAvgPool:
       return infer_stack_mean(branches, active, ws);
     case AggKind::kConcat:
-      return projection->infer(infer_concat_axis1(branches, active, ws), ws);
+      return project_rows(*projection,
+                          gather_concat_rows(branches, active, ws),
+                          branches[0].shape(), ws);
     case AggKind::kGatedAvg:
       return infer_gated_sum(branches, gates.value(), active, ws);
   }

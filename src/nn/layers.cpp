@@ -70,6 +70,10 @@ const bitgemm::PackedSigns& PackedWeightCache::get(const autograd::Variable& w,
     std::lock_guard<std::mutex> lock(mu);
     if (stamp.load(std::memory_order_relaxed) != want) {
       packed = bitgemm::pack_signs_matrix(w.value().data(), rows, cols);
+      if (w.value().ndim() == 4) {
+        taps = bitgemm::pack_conv_taps(packed.bits, w.value().dim(2),
+                                       w.value().dim(3));
+      }
       stamp.store(want, std::memory_order_release);
     }
   }
@@ -163,15 +167,25 @@ Tensor Conv2d::infer(const Tensor& x, infer::Workspace& ws) {
                    .kernel_w = wt.dim(3),
                    .stride = stride_,
                    .pad = pad_};
-  const std::int64_t n = x.dim(0), f = wt.dim(0);
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  // Same lowering as autograd::conv2d: im2col, float GEMM, bias broadcast —
-  // with the two GEMM scratch matrices drawn from the workspace so the
-  // planner sees (and bounds) the conv's true working set.
+  const std::int64_t n = x.dim(0), oh = g.out_h(), ow = g.out_w();
+  // Same lowering as autograd::conv2d: im2col, then the GEMM tail below —
+  // with the GEMM scratch matrices drawn from the workspace so the planner
+  // sees (and bounds) the conv's true working set.
   Tensor cols = ws.acquire(Shape{n * oh * ow, g.patch_size()});
   ws.note_use(x);
   im2col_into(x, g, cols);
-  const Tensor wmat = wt.reshape(Shape{f, g.patch_size()});
+  return infer_cols(cols, n, oh, ow, ws);
+}
+
+Tensor Conv2d::infer_cols(const Tensor& cols, std::int64_t n, std::int64_t oh,
+                          std::int64_t ow, infer::Workspace& ws) {
+  const Tensor& wt = weight_.value();
+  const std::int64_t f = wt.dim(0), patch = wt.numel() / f;
+  DDNN_CHECK(cols.ndim() == 2 && cols.dim(0) == n * oh * ow &&
+                 cols.dim(1) == patch,
+             "Conv2d::infer_cols: bad operand shape "
+                 << cols.shape().to_string());
+  const Tensor wmat = wt.reshape(Shape{f, patch});
   Tensor outmat = ws.acquire(Shape{n * oh * ow, f});
   ws.note_use(cols);
   ops::matmul_nt_into(cols, wmat, outmat);
@@ -219,7 +233,7 @@ Tensor BinaryConv2d::infer(const Tensor& x, infer::Workspace& ws) {
   Tensor out = ws.acquire(Shape{x.dim(0), wt.dim(0), g.out_h(), g.out_w()});
   ws.note_use(x);
   if (bitgemm::all_pm1(x)) {
-    bitgemm::xnor_conv2d(x, g, w.bits, out);
+    bitgemm::xnor_conv2d(x, g, packed_.taps, out);
   } else {
     bitgemm::sign_conv2d(x, g, w, out);
   }

@@ -49,9 +49,11 @@ struct PackedWeightCache {
   std::atomic<std::uint64_t> stamp{0};
   std::mutex mu;
   bitgemm::PackedSigns packed;
+  bitgemm::PackedTaps taps;  // conv weights only: packed.bits, tap-major
 
   /// Current pack of `w`'s value viewed as [rows, cols], rebuilding if the
-  /// weight's version moved since the last pack.
+  /// weight's version moved since the last pack (`taps` too, when `w` is an
+  /// [F, C, KH, KW] conv weight).
   const bitgemm::PackedSigns& get(const autograd::Variable& w,
                                   std::int64_t rows, std::int64_t cols);
 };
@@ -102,6 +104,13 @@ class Conv2d : public Module {
   Variable forward(const Variable& x);
   Tensor infer(const Tensor& x, infer::Workspace& ws);
 
+  /// The GEMM tail of infer() (and of autograd::conv2d): `cols` is the
+  /// [N*OH*OW, C*KH*KW] im2col operand of N images with OH x OW outputs.
+  /// Callers that can lay their input out as that operand directly (the CC
+  /// aggregator's gather) skip im2col and get the same bits.
+  Tensor infer_cols(const Tensor& cols, std::int64_t n, std::int64_t oh,
+                    std::int64_t ow, infer::Workspace& ws);
+
  private:
   std::int64_t stride_, pad_;
   Variable weight_, bias_;
@@ -114,8 +123,9 @@ class BinaryConv2d : public Module {
                std::int64_t kernel, std::int64_t stride, std::int64_t pad,
                Rng& rng);
   Variable forward(const Variable& x);
-  /// Packed-im2col XNOR-popcount for ±1 inputs, direct sign-accumulate
-  /// convolution for float inputs; both bit-identical to forward().
+  /// Channel-packed direct XNOR-popcount for ±1 inputs, direct
+  /// sign-accumulate convolution for float inputs; both bit-identical to
+  /// forward().
   Tensor infer(const Tensor& x, infer::Workspace& ws);
 
   std::int64_t weight_bits() const { return weight_.numel(); }

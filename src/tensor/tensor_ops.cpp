@@ -274,8 +274,10 @@ void add_row_vector_inplace(Tensor& x, const Tensor& b) {
   DDNN_CHECK(x.ndim() == 2 && b.ndim() == 1, "add_row_vector: [m,n] + [n]");
   DDNN_CHECK(x.dim(1) == b.dim(0), "add_row_vector: width mismatch");
   const std::int64_t m = x.dim(0), n = x.dim(1);
+  float* px = x.data();
+  const float* pb = b.data();
   for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) x.at(i, j) = x.at(i, j) + b[j];
+    for (std::int64_t j = 0; j < n; ++j) px[i * n + j] += pb[j];
   }
 }
 

@@ -117,12 +117,14 @@ void ThreadPool::parallel_for(
   }
 
   // Chunk count is capped at a small multiple of the pool size for load
-  // balance; chunks are contiguous and disjoint, so which thread runs which
-  // chunk never affects results.
+  // balance, then recounted from the chunk size so no chunk is empty; chunks
+  // are contiguous and disjoint, so which thread runs which chunk never
+  // affects results.
   const std::int64_t by_grain = (range + grain - 1) / grain;
-  const std::int64_t nchunks =
-      std::min<std::int64_t>(static_cast<std::int64_t>(size_) * 4, by_grain);
-  const std::int64_t chunk = (range + nchunks - 1) / nchunks;
+  const std::int64_t target =
+      std::min<std::int64_t>(std::int64_t{size_} * 4, by_grain);
+  const std::int64_t chunk = (range + target - 1) / target;
+  const std::int64_t nchunks = (range + chunk - 1) / chunk;
 
   struct CallState {
     std::atomic<std::int64_t> next{0};
@@ -130,7 +132,7 @@ void ThreadPool::parallel_for(
     const std::function<void(std::int64_t, std::int64_t)>* fn = nullptr;
     std::mutex mutex;
     std::condition_variable done_cv;
-    int helpers_left = 0;
+    std::int64_t completed = 0;  // chunks finished, guarded by `mutex`
     std::exception_ptr error;
   };
   auto state = std::make_shared<CallState>();
@@ -140,41 +142,41 @@ void ThreadPool::parallel_for(
   state->nchunks = nchunks;
   state->fn = &fn;
 
+  // Claims chunks until none is left. `fn` is dereferenced only for a
+  // claimed chunk, and the caller returns only once every chunk completed,
+  // so a helper that wakes after the last claim touches nothing but the
+  // shared state it co-owns.
   auto drain = [](CallState& s) {
     while (true) {
       const std::int64_t c = s.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= s.nchunks) break;
+      if (c >= s.nchunks) return;
       const std::int64_t lo = s.begin + c * s.chunk;
       const std::int64_t hi = std::min(s.end, lo + s.chunk);
+      std::exception_ptr error;
       try {
         (*s.fn)(lo, hi);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (!s.error) s.error = std::current_exception();
+        error = std::current_exception();
       }
+      std::lock_guard<std::mutex> lock(s.mutex);
+      if (error && !s.error) s.error = error;
+      if (++s.completed == s.nchunks) s.done_cv.notify_one();
     }
   };
 
   const int helpers = static_cast<int>(
       std::min<std::int64_t>(size_ - 1, nchunks - 1));
-  state->helpers_left = helpers;
   for (int h = 0; h < helpers; ++h) {
-    enqueue([state, drain] {
-      drain(*state);
-      {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        --state->helpers_left;
-      }
-      state->done_cv.notify_one();
-    });
+    enqueue([state, drain] { drain(*state); });
   }
 
   drain(*state);  // the caller is a compute thread too
 
-  // Wait for every helper to exit before returning: helpers hold a pointer
-  // to `fn`, which lives on this frame.
+  // Join on chunk completion, not on helper exit: a helper still queued
+  // behind other work (the caller may itself be inside an outer
+  // parallel_for whose chunks occupy every worker) is not waited for.
   std::unique_lock<std::mutex> lock(state->mutex);
-  state->done_cv.wait(lock, [&] { return state->helpers_left == 0; });
+  state->done_cv.wait(lock, [&] { return state->completed == nchunks; });
   if (state->error) std::rethrow_exception(state->error);
 }
 

@@ -38,7 +38,9 @@ class ThreadPool {
   /// Run fn(chunk_begin, chunk_end) over [begin, end) in contiguous chunks
   /// of at least `grain` indices. Runs inline when the range is within one
   /// grain, the pool has size 1, or the caller is itself a pool worker.
-  /// Rethrows the first exception thrown by any chunk.
+  /// Every chunk is non-empty. Returns as soon as every chunk has completed
+  /// (helpers that never claimed one are not waited for). Rethrows the
+  /// first exception thrown by any chunk.
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const std::function<void(std::int64_t, std::int64_t)>& fn);
 

@@ -15,6 +15,7 @@
 
 #include "autograd/grad_mode.hpp"
 #include "autograd/ops.hpp"
+#include "core/aggregator.hpp"
 #include "core/inference.hpp"
 #include "core/model.hpp"
 #include "core/trainer.hpp"
@@ -292,11 +293,14 @@ std::string describe(const SweepGeometry& s) {
 /// Each axis swept across its values around a base geometry: channel
 /// counts, filter counts that are not a multiple of the 4-filter block,
 /// widths that are not a multiple of the ox tile, every (kernel, stride,
-/// pad) combination and batch sizes.
+/// pad) combination and batch sizes. k1/p2 keeps outputs whose whole window
+/// is padding (zero in-bounds taps) in the sweep.
 std::vector<SweepGeometry> convp_sweep() {
   const SweepGeometry base{3, 3, 5, 17, 16, 3, 1, 1};
   std::vector<SweepGeometry> out;
-  for (const std::int64_t c : {1, 3, 4, 24}) {
+  // 63..130 put the channel bits of the XNOR conv in one, one full, and
+  // two and three words.
+  for (const std::int64_t c : {1, 3, 4, 24, 63, 64, 65, 130}) {
     out.push_back(base);
     out.back().channels = c;
   }
@@ -397,6 +401,57 @@ TEST(ConvPKernels, GeometrySweepBitIdenticalToAutogradChain) {
         const auto got = infer::run_section(ws, desc, {x}, "", body);
         expect_bitwise_equal(got[0], ref_conv.value());
         expect_bitwise_equal(got[1], ref);
+      }
+    }
+  }
+}
+
+TEST(ConvPKernels, ConcatFeatureFuseBitIdenticalToAutogradConcatConv) {
+  // CC gathers the branches straight into the 1x1 projection's GEMM
+  // operand. It must match autograd concat -> conv2d bit for bit at every
+  // single-branch failure, on a recorded and a replayed plan, for batch
+  // sizes 1 and 64 and 1 and 4 threads.
+  constexpr int kBranches = 6;
+  Rng rng(47);
+  core::FeatureMapAggregator agg(core::AggKind::kConcat, kBranches, 4, rng);
+  agg.set_training(false);
+  for (auto& p : agg.named_parameters()) {
+    if (!p.name.ends_with("bias")) continue;  // non-zero bias broadcast
+    Tensor& v = p.var.value();
+    for (std::int64_t i = 0; i < v.numel(); ++i) {
+      v[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+  }
+  std::vector<std::vector<bool>> masks(1, std::vector<bool>(kBranches, true));
+  for (int down = 0; down < kBranches; ++down) {
+    masks.push_back(masks[0]);
+    masks.back()[static_cast<std::size_t>(down)] = false;
+  }
+  for (const std::int64_t batch : {1, 64}) {
+    std::vector<Tensor> branches;
+    for (int i = 0; i < kBranches; ++i) {
+      branches.push_back(sweep_input(Shape{batch, 4, 16, 16}, rng));
+    }
+    const std::vector<Variable> vars(branches.begin(), branches.end());
+    infer::Workspace ws;
+    const infer::SectionDesc desc{infer::SectionTier::kEdge,
+                                  infer::next_section_id(), "cc_fuse"};
+    for (const auto& mask : masks) {
+      std::string sig;
+      for (const bool a : mask) sig += a ? '1' : '0';
+      autograd::NoGradGuard no_grad;
+      const Tensor ref = agg.forward(vars, mask).value();
+      auto body = [&](const std::vector<Tensor>& in, infer::Workspace& w) {
+        return std::vector<Tensor>{agg.infer(in, mask, w)};
+      };
+      for (const int threads : {1, 4}) {
+        PoolSizeGuard guard(threads);
+        SCOPED_TRACE("b" + std::to_string(batch) + " mask " + sig +
+                     " threads " + std::to_string(threads));
+        for (int pass = 0; pass < 2; ++pass) {  // record, then replay
+          expect_bitwise_equal(
+              infer::run_section(ws, desc, branches, sig, body)[0], ref);
+        }
       }
     }
   }

@@ -4,7 +4,13 @@
 // across thread counts.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "autograd/grad_mode.hpp"
@@ -102,6 +108,59 @@ TEST(ThreadPool, NestedCallsRunInlineWithoutDeadlock) {
     }
   });
   for (const int h : hits) ASSERT_EQ(h, 1);
+}
+
+TEST(ThreadPool, NestedCallFromCallerChunkDoesNotWaitForBusyHelpers) {
+  // Both helpers block in their outer chunks until the caller's own chunk
+  // has finished a nested parallel_for. The nested call must return once
+  // its chunks are done; a pool that joins on helper exit waits for the
+  // busy workers instead and only gets free when their timeout fires.
+  // (The caller may claim more than one chunk; a helper that starts late
+  // finds nothing left.)
+  PoolSizeGuard guard(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool nested_done = false;
+  std::atomic<int> timeouts{0};
+  parallel_for(0, 3, 1, [&](std::int64_t, std::int64_t) {
+    if (std::this_thread::get_id() == caller) {
+      std::atomic<std::int64_t> sum{0};
+      parallel_for(0, 64, 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) sum += i;
+      });
+      EXPECT_EQ(sum.load(), 64 * 63 / 2);
+      std::lock_guard<std::mutex> lock(mu);
+      nested_done = true;
+      cv.notify_all();
+    } else {
+      std::unique_lock<std::mutex> lock(mu);
+      if (!cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return nested_done; })) {
+        ++timeouts;
+      }
+    }
+  });
+  EXPECT_EQ(timeouts.load(), 0);
+}
+
+TEST(ThreadPool, EveryChunkIsNonEmptyAndCoversTheRangeOnce) {
+  // Range 16 under a size-3 pool is cut into chunks of 2: 8 chunks, not
+  // the 12 the chunk cap alone would issue.
+  PoolSizeGuard guard(3);
+  std::mutex mu;
+  std::vector<std::pair<std::int64_t, std::int64_t>> calls;
+  parallel_for(0, 16, 1, [&](std::int64_t lo, std::int64_t hi) {
+    std::lock_guard<std::mutex> lock(mu);
+    calls.emplace_back(lo, hi);
+  });
+  std::vector<int> hits(16, 0);
+  for (const auto& [lo, hi] : calls) {
+    EXPECT_LT(lo, hi);
+    for (std::int64_t i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
+  }
+  EXPECT_EQ(calls.size(), 8u);
+  for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPool, SizeOneAlwaysInline) {

@@ -156,23 +156,29 @@ void BM_Binarize(benchmark::State& state) {
 BENCHMARK(BM_Binarize);
 
 void BM_DeviceConvPBlock(benchmark::State& state) {
-  // A full fused device block at batch 1: the per-sample compute a simulated
-  // end device performs.
+  // The device ConvP block (3 -> 4 sign conv, then the fused pool/BN/sign
+  // tail) on the engine at batch Arg: Arg 1 is the per-sample compute a
+  // simulated end device performs.
   Rng rng(8);
-  autograd::NoGradGuard no_grad;
   nn::ConvPBlock block(3, 4, rng);
   block.set_training(false);
-  const Variable x(Tensor::randn(Shape{1, 3, 32, 32}, rng));
+  const Tensor x = Tensor::randn(Shape{state.range(0), 3, 32, 32}, rng);
+  infer::Workspace ws;
+  const infer::SectionDesc desc{infer::SectionTier::kDevice,
+                                infer::next_section_id(), "bench_device_convp"};
+  auto body = [&](const std::vector<Tensor>& in, infer::Workspace& w) {
+    return std::vector<Tensor>{block.infer(in[0], w)};
+  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(block.forward(x));
+    benchmark::DoNotOptimize(infer::run_section(ws, desc, {x}, "", body));
   }
 }
-BENCHMARK(BM_DeviceConvPBlock);
+BENCHMARK(BM_DeviceConvPBlock)->Arg(1)->Arg(64);
 
 void BM_BinaryConv2dInfer(benchmark::State& state) {
-  // The engine path of a binarized conv on ±1 input: cached bit-packed
-  // weights + XNOR-popcount over a packed im2col. Compare BM_DeviceConvPBlock
-  // and the BENCH_engine.json comparison this binary writes on exit.
+  // The engine path of a binarized conv on ±1 input: cached tap-packed
+  // weights + the channel-packed XNOR conv. Compare the BENCH_engine.json
+  // comparison this binary writes on exit.
   Rng rng(8);
   nn::BinaryConv2d conv(4, 8, 3, 1, 1, rng);
   conv.set_training(false);

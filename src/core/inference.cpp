@@ -97,9 +97,14 @@ double exit_accuracy(const ExitEval& eval, std::size_t exit_index) {
          static_cast<double>(eval.sample_count());
 }
 
-PolicyResult apply_policy(const ExitEval& eval,
-                          const std::vector<double>& thresholds,
-                          ConfidenceCriterion criterion) {
+namespace {
+
+/// apply_policy with sample i's confidence score and argmax prediction at
+/// exit e supplied by score(e, i) and pred(e, i).
+template <class Score, class Pred>
+PolicyResult run_policy(const ExitEval& eval,
+                        const std::vector<double>& thresholds,
+                        const Score& score, const Pred& pred) {
   DDNN_CHECK(eval.num_exits() >= 1, "no exits");
   DDNN_CHECK(thresholds.size() + 1 == eval.num_exits(),
              "need one threshold per non-final exit: got "
@@ -110,6 +115,7 @@ PolicyResult apply_policy(const ExitEval& eval,
   result.exit_fraction.assign(eval.num_exits(), 0.0);
   result.decisions.assign(static_cast<std::size_t>(eval.sample_count()),
                           SampleDecision{});
+  const std::size_t last = eval.num_exits() - 1;
 
   // Per-sample decisions are independent; each chunk writes its own slice
   // of `decisions`. The counting reduction stays serial (exact integer
@@ -118,27 +124,18 @@ PolicyResult apply_policy(const ExitEval& eval,
                [&](std::int64_t lo, std::int64_t hi) {
                  for (std::int64_t i = lo; i < hi; ++i) {
                    SampleDecision d;
-                   d.exit_taken = static_cast<int>(eval.num_exits()) - 1;
+                   d.exit_taken = static_cast<int>(last);
                    for (std::size_t e = 0; e < thresholds.size(); ++e) {
-                     const double eta =
-                         confidence_score_row(eval.exit_probs[e], i, criterion);
+                     const double eta = score(e, i);
                      if (should_exit(eta, thresholds[e])) {
                        d.exit_taken = static_cast<int>(e);
                        d.entropy = eta;
                        break;
                      }
                    }
-                   const Tensor& probs =
-                       eval.exit_probs[static_cast<std::size_t>(d.exit_taken)];
-                   if (d.exit_taken == static_cast<int>(eval.num_exits()) - 1) {
-                     d.entropy = confidence_score_row(probs, i, criterion);
-                   }
-                   const std::int64_t c = probs.dim(1);
-                   std::int64_t best = 0;
-                   for (std::int64_t j = 1; j < c; ++j) {
-                     if (probs.at(i, j) > probs.at(i, best)) best = j;
-                   }
-                   d.prediction = best;
+                   const auto taken = static_cast<std::size_t>(d.exit_taken);
+                   if (taken == last) d.entropy = score(last, i);
+                   d.prediction = pred(taken, i);
                    result.decisions[static_cast<std::size_t>(i)] = d;
                  }
                });
@@ -157,14 +154,74 @@ PolicyResult apply_policy(const ExitEval& eval,
   return result;
 }
 
+/// Every exit's normalized-entropy score and argmax for every sample,
+/// computed once so a threshold search replays only the decision rule.
+/// The scores come from the same confidence_score_row apply_policy calls,
+/// so each grid point's result is bit-identical to apply_policy's.
+class ScoredExits {
+ public:
+  explicit ScoredExits(const ExitEval& eval)
+      : eval_(eval),
+        n_(eval.sample_count()),
+        scores_(eval.num_exits() * static_cast<std::size_t>(n_)),
+        preds_(scores_.size()) {
+    parallel_for(0, n_, 256, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::size_t e = 0; e < eval.num_exits(); ++e) {
+        const Tensor& probs = eval.exit_probs[e];
+        const std::int64_t c = probs.dim(1);
+        for (std::int64_t i = lo; i < hi; ++i) {
+          scores_[slot(e, i)] = confidence_score_row(
+              probs, i, ConfidenceCriterion::kNormalizedEntropy);
+          preds_[slot(e, i)] = ops::argmax_row(probs.data() + i * c, c);
+        }
+      }
+    });
+  }
+
+  /// apply_policy(eval, thresholds) from the cached scores.
+  PolicyResult apply(const std::vector<double>& thresholds) const {
+    return run_policy(
+        eval_, thresholds,
+        [&](std::size_t e, std::int64_t i) { return scores_[slot(e, i)]; },
+        [&](std::size_t e, std::int64_t i) { return preds_[slot(e, i)]; });
+  }
+
+ private:
+  std::size_t slot(std::size_t e, std::int64_t i) const {
+    return e * static_cast<std::size_t>(n_) + static_cast<std::size_t>(i);
+  }
+
+  const ExitEval& eval_;
+  std::int64_t n_;
+  std::vector<double> scores_;       // [exit][sample]
+  std::vector<std::int64_t> preds_;  // [exit][sample]
+};
+
+}  // namespace
+
+PolicyResult apply_policy(const ExitEval& eval,
+                          const std::vector<double>& thresholds,
+                          ConfidenceCriterion criterion) {
+  return run_policy(
+      eval, thresholds,
+      [&](std::size_t e, std::int64_t i) {
+        return confidence_score_row(eval.exit_probs[e], i, criterion);
+      },
+      [&](std::size_t e, std::int64_t i) {
+        const Tensor& probs = eval.exit_probs[e];
+        return ops::argmax_row(probs.data() + i * probs.dim(1), probs.dim(1));
+      });
+}
+
 double search_threshold_best_overall(const ExitEval& eval, double step) {
   DDNN_CHECK(eval.num_exits() == 2,
              "threshold search implemented for 2-exit models");
   DDNN_CHECK(step > 0.0 && step <= 1.0, "bad grid step");
+  const ScoredExits scored(eval);
   double best_t = 0.0;
   double best_acc = -1.0;
   for (double t = 0.0; t <= 1.0 + 1e-9; t += step) {
-    const auto r = apply_policy(eval, {t});
+    const auto r = scored.apply({t});
     // Ties prefer larger T: more samples exit locally for the same accuracy.
     if (r.overall_accuracy >= best_acc) {
       best_acc = r.overall_accuracy;
@@ -217,11 +274,12 @@ std::vector<double> search_thresholds_best_overall(const ExitEval& eval,
     return thresholds;
   };
 
+  const ScoredExits scored(eval);
   std::vector<double> accs(static_cast<std::size_t>(total), 0.0);
   std::vector<double> depths(static_cast<std::size_t>(total), 0.0);
   parallel_for(0, total, 1, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t combo = lo; combo < hi; ++combo) {
-      const auto r = apply_policy(eval, combo_thresholds(combo));
+      const auto r = scored.apply(combo_thresholds(combo));
       accs[static_cast<std::size_t>(combo)] = r.overall_accuracy;
       depths[static_cast<std::size_t>(combo)] = mean_exit_depth(r);
     }
@@ -249,8 +307,9 @@ double search_threshold_for_local_fraction(const ExitEval& eval,
              "threshold search implemented for 2-exit models");
   DDNN_CHECK(target_fraction >= 0.0 && target_fraction <= 1.0,
              "bad target fraction");
+  const ScoredExits scored(eval);
   for (double t = 0.0; t <= 1.0 + 1e-9; t += step) {
-    const auto r = apply_policy(eval, {t});
+    const auto r = scored.apply({t});
     if (r.local_exit_fraction() >= target_fraction) return t;
   }
   return 1.0;

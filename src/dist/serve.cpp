@@ -1092,7 +1092,6 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
     }
 
     // --- Stage 1: local exit at the colocated gateway.
-    int exit_index = 0;
     if (cfg.has_local_exit) {
       std::vector<std::optional<Message>> scores(n_dev);
       for (std::size_t b = 0; b < n_dev; ++b) {
@@ -1112,7 +1111,6 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
         commit(0, d.prediction, d.entropy);
         continue;
       }
-      exit_index = 1;
     }
 
     // --- Stage 2: escalate features over real sockets, then ask the tier

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "tensor/im2col.hpp"
+#include "tensor/lanes.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 
@@ -259,63 +260,53 @@ Shape MaxPool2d::out_shape(const Shape& in) const {
   return Shape{in[0], in[1], oh, ow};
 }
 
-namespace {
-
-/// The window scan of MaxPool2d::pool_plane; K_T/S_T > 0 bake the kernel
-/// and stride into the instantiation (the ConvP blocks' 3x3/s2 pool gets
-/// its own: with them constant the interior scan unrolls and vectorizes,
-/// about 2.5x faster than the runtime-sized one).
-template <int K_T, int S_T>
-void pool_plane_scan(const float* plane, std::int64_t h, std::int64_t w,
-                     std::int64_t kernel, std::int64_t stride_arg,
-                     std::int64_t pad, float* out) {
-  const std::int64_t k = K_T > 0 ? K_T : kernel;
-  const std::int64_t stride = S_T > 0 ? S_T : stride_arg;
-  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
-  const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
-  // Window rows are clamped per output row. Along a row, the outputs in
-  // [inner.lo, inner.hi) have every kx tap in bounds and take the unchecked
-  // (vectorizable) scan; the few edge outputs clamp their taps one by one.
-  // Either way each output sees its in-bounds taps ky-major, kx-minor.
-  const OutRange inner{valid_out_range(0, stride, pad, w, ow).lo,
-                       valid_out_range(k - 1, stride, pad, w, ow).hi};
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    float* __restrict orow = out + oy * ow;
-    std::fill_n(orow, ow, -std::numeric_limits<float>::infinity());
-    const std::int64_t y0 = oy * stride - pad;
-    const std::int64_t ky_lo = std::max<std::int64_t>(0, -y0);
-    const std::int64_t ky_hi = std::min(k, h - y0);
-    for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
-      const float* __restrict row = plane + (y0 + ky) * w;
-      const auto edge = [&](std::int64_t o) {
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const std::int64_t ix = o * stride + kx - pad;
-          if (ix < 0 || ix >= w) continue;
-          orow[o] = row[ix] > orow[o] ? row[ix] : orow[o];
-        }
-      };
-      for (std::int64_t o = 0; o < std::min(inner.lo, ow); ++o) edge(o);
-      for (std::int64_t o = inner.lo; o < inner.hi; ++o) {
-        float best = orow[o];
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const float v = row[o * stride + kx - pad];
-          best = v > best ? v : best;
-        }
-        orow[o] = best;
-      }
-      for (std::int64_t o = std::max(inner.hi, inner.lo); o < ow; ++o) edge(o);
-    }
-  }
-}
-
-}  // namespace
-
 void MaxPool2d::pool_plane(const float* plane, std::int64_t h, std::int64_t w,
                            float* out) const {
-  if (kernel_ == 3 && stride_ == 2) {
-    pool_plane_scan<3, 2>(plane, h, w, kernel_, stride_, pad_, out);
-  } else {
-    pool_plane_scan<0, 0>(plane, h, w, kernel_, stride_, pad_, out);
+  using lanes::kLanes;
+  using lanes::Lanes;
+  const std::int64_t k = kernel_, stride = stride_, pad = pad_;
+  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
+  constexpr float kSeed = -std::numeric_limits<float>::infinity();
+  // The plane is copied into a -inf border: output (oy, ox) covers padded
+  // rows oy*stride + [0, k) and columns ox*stride + [0, k). A -inf tap
+  // never passes the `>` compare against the -inf seed, so it acts exactly
+  // as the clamped-out tap it stands for, and no scan needs a bounds check.
+  // The row pass runs at all `span` column offsets (whole vectors); the
+  // column pass keeps every stride-th one.
+  const std::int64_t span = ((ow - 1) * stride + kLanes) / kLanes * kLanes;
+  const std::int64_t ph = (oh - 1) * stride + k, pw = span + k - 1;
+  static thread_local std::vector<float> scratch;  // per pool thread
+  scratch.resize(static_cast<std::size_t>(ph * pw + (ph + 1) * span));
+  float* const padded = scratch.data();
+  float* const rows = padded + ph * pw;  // [ph][span] row maxima
+  float* const col = rows + ph * span;   // one output row's window maxima
+  lanes::pad_plane(plane, h, w, pad, kSeed, ph, pw, padded);
+  // Maximum of src[0], src[step], ... (n vectors) in order, from the seed.
+  const auto scan = [](const float* src, std::int64_t n, std::int64_t step,
+                       float* dst) {
+    Lanes m = lanes::splat(kSeed);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const Lanes v = lanes::load(src + i * step);
+      m = v > m ? v : m;
+    }
+    lanes::store(dst, m);
+  };
+  // Row pass: each padded row's k-tap maxima, kx ascending.
+  for (std::int64_t y = 0; y < ph; ++y) {
+    for (std::int64_t d = 0; d < span; d += kLanes) {
+      scan(padded + y * pw + d, k, 1, rows + y * span + d);
+    }
+  }
+  // Column pass: each output row's k row maxima, ky ascending, so every
+  // output keeps the first maximum of its window in (ky, kx) order.
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    for (std::int64_t d = 0; d < span; d += kLanes) {
+      scan(rows + oy * stride * span + d, k, span, col + d);
+    }
+    const float* src = col;
+    float* dst = out + oy * ow;
+    for (std::int64_t ox = 0; ox < ow; ++ox, src += stride) dst[ox] = *src;
   }
 }
 

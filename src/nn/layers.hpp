@@ -147,11 +147,12 @@ class MaxPool2d : public Module {
   Shape out_shape(const Shape& in) const;
 
   /// Pool one [h, w] plane into `out` ([out_h, out_w] of out_shape). The one
-  /// window scan behind infer() and the fused ConvP tail: each window is
-  /// clamped to the plane and scanned ky-major, kx-minor from a -inf seed
-  /// with a `>` compare — autograd::max_pool2d's order and semantics, so the
-  /// selected values match it bit for bit, NaN and signed-zero inputs
-  /// included.
+  /// window scan behind infer() and the fused ConvP tail, for every kernel,
+  /// stride and pad: a separable scan (a row pass over kx, then a column
+  /// pass over ky, both from a -inf seed with a `>` compare) that selects
+  /// each window's first maximum in (ky, kx) order. That is
+  /// autograd::max_pool2d's pick, so the outputs match it bit for bit, NaN
+  /// and signed-zero inputs included.
   void pool_plane(const float* plane, std::int64_t h, std::int64_t w,
                   float* out) const;
 

@@ -151,15 +151,18 @@ double HdrHistogram::max() const {
   return std::isinf(m) ? 0.0 : m;
 }
 
-std::int64_t HdrHistogram::merged_count(int b) const {
-  std::int64_t total = 0;
+std::vector<std::int64_t> HdrHistogram::merged_counts() const {
+  // Shard-major: one pass over each live shard's counts (integer sums, so
+  // the merge order cannot change a count).
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(buckets_), 0);
   for (const auto& slot : shards_) {
-    if (const Shard* s = slot.load(std::memory_order_acquire)) {
-      total += s->counts[static_cast<std::size_t>(b)].load(
-          std::memory_order_relaxed);
+    const Shard* s = slot.load(std::memory_order_acquire);
+    if (s == nullptr) continue;
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      counts[b] += s->counts[b].load(std::memory_order_relaxed);
     }
   }
-  return total;
+  return counts;
 }
 
 HdrExemplar HdrHistogram::merged_exemplar(int b) const {
@@ -198,11 +201,7 @@ int rank_bucket(const std::vector<std::int64_t>& counts, double q) {
 
 double HdrHistogram::percentile(double q) const {
   DDNN_CHECK(q > 0.0 && q <= 1.0, "percentile rank " << q << " not in (0, 1]");
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(buckets_));
-  for (int b = 0; b < buckets_; ++b) {
-    counts[static_cast<std::size_t>(b)] = merged_count(b);
-  }
-  const int b = rank_bucket(counts, q);
+  const int b = rank_bucket(merged_counts(), q);
   if (b < 0) return 0.0;
   // Upper edge of the bucket (the supremum of values it can hold), clamped
   // to the exact recorded max so the top bucket reports a real value.
@@ -212,17 +211,14 @@ double HdrHistogram::percentile(double q) const {
 
 HdrExemplar HdrHistogram::exemplar_at(double q) const {
   DDNN_CHECK(q > 0.0 && q <= 1.0, "percentile rank " << q << " not in (0, 1]");
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(buckets_));
-  for (int b = 0; b < buckets_; ++b) {
-    counts[static_cast<std::size_t>(b)] = merged_count(b);
-  }
-  const int b = rank_bucket(counts, q);
+  const int b = rank_bucket(merged_counts(), q);
   return b < 0 ? HdrExemplar{} : merged_exemplar(b);
 }
 
 int HdrHistogram::top_occupied_bucket() const {
+  const std::vector<std::int64_t> counts = merged_counts();
   for (int b = buckets_ - 1; b >= 0; --b) {
-    if (merged_count(b) > 0) return b;
+    if (counts[static_cast<std::size_t>(b)] > 0) return b;
   }
   return -1;
 }

@@ -107,7 +107,8 @@ class HdrHistogram {
   };
 
   Shard& shard_for_thread();
-  std::int64_t merged_count(int b) const;
+  /// Every bucket's count summed over the live shards.
+  std::vector<std::int64_t> merged_counts() const;
   HdrExemplar merged_exemplar(int b) const;
   int top_occupied_bucket() const;  // -1 when empty
 

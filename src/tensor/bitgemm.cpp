@@ -5,6 +5,7 @@
 
 #include "obs/profile.hpp"
 #include "tensor/bitpack.hpp"
+#include "tensor/lanes.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -21,24 +22,34 @@ std::int64_t grain_for(std::int64_t work_per_index, std::int64_t total_indices) 
   return std::max<std::int64_t>(1, 65536 / per);
 }
 
-/// Output columns per register tile and filters per block of sign_conv2d:
-/// 4 x 32 accumulators are sixteen 8-float vectors, held in registers on a
-/// 32-register AVX-512 core (measured 25 % faster there than 4 x 16 on the
-/// 32-wide device images, which fill a tile exactly).
-constexpr std::int64_t kTileW = 32;
-constexpr std::int64_t kTileF = 4;  // the tap body names s0..s3 / acc[0..3]
+using lanes::kLanes;
+using lanes::Lanes;
+
+/// Filters per register tile of sign_conv2d; the tap body names s0..s3.
+constexpr std::int64_t kTileF = 4;
+
+/// kLanes values p[0], p[stride], ... (one unaligned load at stride 1).
+inline Lanes load_strided(const float* p, std::int64_t stride) {
+  if (stride == 1) return lanes::load(p);
+  Lanes v;
+  for (std::int64_t t = 0; t < kLanes; ++t) v[t] = p[t * stride];
+  return v;
+}
 
 /// One image of sign_conv2d. The image is first copied into `padded`
-/// ([C][in_h + 2*pad][pw], zero outside the image, pw wide enough that the
-/// last ox tile reads in bounds). Then every (output row, block of kTileF
-/// filters, kTileW-wide ox tile) keeps its kTileF x kTileW accumulators in
-/// registers across all C*KH*KW taps, in ascending patch-index order —
-/// exactly ops::im2col + matmul_nt's order per output. A padded tap adds
-/// 0 * (±1) as im2col's explicit zero does, and x * ±1.0f is exact, so fused
-/// multiply-adds cannot change the rounding. A tail filter block repeats the
-/// last filter's signs and a tail tile computes lanes past ow; neither is
-/// stored. K_T > 0 bakes a K_T x K_T kernel (and stride 1) into the
-/// instantiation.
+/// ([C][ph][pw], zero outside the image, large enough that every tile
+/// reads in bounds). A register tile is kTileF filters x two kLanes-wide
+/// strips of outputs: eight accumulators held in named vector registers
+/// across all C*KH*KW taps. Rows wider than kLanes put the strips side by
+/// side (32 columns of one output row); narrower rows stack them (the same
+/// columns of two output rows), so the 16-wide edge conv fills the tile
+/// too. Each output adds its terms from +0 in ascending patch-index order —
+/// exactly ops::im2col + matmul_nt's order. A padded tap adds 0 * (±1) as
+/// im2col's explicit zero does, and x * ±1.0f is exact, so fused
+/// multiply-adds cannot change the rounding. A tail filter block repeats
+/// the last filter's signs, and tail tiles compute lanes and rows past the
+/// output; none of those are stored. K_T > 0 bakes a K_T x K_T kernel (and
+/// stride 1) into the instantiation.
 template <int K_T>
 void sign_conv_image(const float* img, const Conv2dGeometry& g,
                      const float* st, std::int64_t f,
@@ -47,49 +58,64 @@ void sign_conv_image(const float* img, const Conv2dGeometry& g,
   const std::int64_t kw = K_T > 0 ? K_T : g.kernel_w;
   const std::int64_t stride = K_T > 0 ? 1 : g.stride;
   const std::int64_t oh = g.out_h(), ow = g.out_w();
-  const std::int64_t ph = g.in_h + 2 * g.pad;
-  const std::int64_t tiles = (ow + kTileW - 1) / kTileW;
+  const bool stacked = ow <= kLanes;
+  const std::int64_t tile_h = stacked ? 2 : 1;
+  const std::int64_t tile_w = stacked ? kLanes : 2 * kLanes;
+  const std::int64_t tiles_y = (oh + tile_h - 1) / tile_h;
+  const std::int64_t tiles_x = (ow + tile_w - 1) / tile_w;
+  const std::int64_t ph =
+      std::max(g.in_h + 2 * g.pad, (tiles_y * tile_h - 1) * stride + kh);
   const std::int64_t pw =
-      std::max(g.in_w + 2 * g.pad, (tiles * kTileW - 1) * stride + kw);
-  padded.assign(static_cast<std::size_t>(g.in_channels * ph * pw), 0.0f);
+      std::max(g.in_w + 2 * g.pad, (tiles_x * tile_w - 1) * stride + kw);
+  padded.resize(static_cast<std::size_t>(g.in_channels * ph * pw));
   for (std::int64_t c = 0; c < g.in_channels; ++c) {
-    for (std::int64_t iy = 0; iy < g.in_h; ++iy) {
-      std::copy_n(img + (c * g.in_h + iy) * g.in_w, g.in_w,
-                  padded.data() + (c * ph + iy + g.pad) * pw + g.pad);
-    }
+    lanes::pad_plane(img + c * g.in_h * g.in_w, g.in_h, g.in_w, g.pad, 0.0f,
+                     ph, pw, padded.data() + c * ph * pw);
   }
   const float* pad_img = padded.data();
+  // The second strip's first input, relative to the first strip's.
+  const std::int64_t strip = stacked ? stride * pw : kLanes * stride;
 
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
+  for (std::int64_t oy = 0; oy < oh; oy += tile_h) {
     for (std::int64_t j0 = 0; j0 < f; j0 += kTileF) {
       std::int64_t col[kTileF];
       for (std::int64_t q = 0; q < kTileF; ++q) {
         col[q] = std::min(j0 + q, f - 1);
       }
-      for (std::int64_t ox0 = 0; ox0 < ow; ox0 += kTileW) {
-        float acc[kTileF][kTileW] = {};
+      for (std::int64_t ox0 = 0; ox0 < ow; ox0 += tile_w) {
+        Lanes a0 = {}, a1 = {}, a2 = {}, a3 = {};  // filters 0..3, strip 0
+        Lanes b0 = {}, b1 = {}, b2 = {}, b3 = {};  // filters 0..3, strip 1
         const float* s = st;  // signs of tap idx at s[0, f)
         for (std::int64_t c = 0; c < g.in_channels; ++c) {
           for (std::int64_t ky = 0; ky < kh; ++ky) {
             const float* row =
                 pad_img + (c * ph + oy * stride + ky) * pw + ox0 * stride;
             for (std::int64_t kx = 0; kx < kw; ++kx, s += f) {
+              const Lanes u = load_strided(row + kx, stride);
+              const Lanes v = load_strided(row + kx + strip, stride);
               const float s0 = s[col[0]], s1 = s[col[1]];
               const float s2 = s[col[2]], s3 = s[col[3]];
-              for (std::int64_t t = 0; t < kTileW; ++t) {
-                const float v = row[t * stride + kx];
-                acc[0][t] += v * s0;
-                acc[1][t] += v * s1;
-                acc[2][t] += v * s2;
-                acc[3][t] += v * s3;
-              }
+              a0 += u * s0;
+              a1 += u * s1;
+              a2 += u * s2;
+              a3 += u * s3;
+              b0 += v * s0;
+              b1 += v * s1;
+              b2 += v * s2;
+              b3 += v * s3;
             }
           }
         }
+        const Lanes acc[2][kTileF] = {{a0, a1, a2, a3}, {b0, b1, b2, b3}};
         const std::int64_t nf = std::min(kTileF, f - j0);
-        const std::int64_t nw = std::min(kTileW, ow - ox0);
-        for (std::int64_t q = 0; q < nf; ++q) {
-          std::copy_n(acc[q], nw, out + ((j0 + q) * oh + oy) * ow + ox0);
+        for (std::int64_t i = 0; i < 2; ++i) {  // strip
+          const std::int64_t y = stacked ? oy + i : oy;
+          const std::int64_t x = stacked ? ox0 : ox0 + i * kLanes;
+          const std::int64_t nw = std::min(kLanes, ow - x);
+          if (y >= oh || nw <= 0) continue;
+          for (std::int64_t q = 0; q < nf; ++q) {
+            lanes::store(out + ((j0 + q) * oh + y) * ow + x, acc[i][q], nw);
+          }
         }
       }
     }

@@ -32,27 +32,6 @@ struct Conv2dGeometry {
   std::int64_t patch_size() const { return in_channels * kernel_h * kernel_w; }
 };
 
-/// Output positions [lo, hi) along one axis whose input position
-/// o * stride - pad + k lies in [0, in_size): the in-bounds span of window
-/// offset k, for convolution and pooling windows alike.
-struct OutRange {
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-};
-
-inline OutRange valid_out_range(std::int64_t k, std::int64_t stride,
-                                std::int64_t pad, std::int64_t in_size,
-                                std::int64_t out_size) {
-  // Stepped in from both ends rather than divided out: only the few edge
-  // positions a padded window overhangs are out of bounds, and the kernels
-  // call this per window row, where an integer divide would dominate.
-  const std::int64_t shift = k - pad;  // input = o*stride + shift
-  OutRange r{0, out_size};
-  while (r.lo < r.hi && r.lo * stride + shift < 0) ++r.lo;
-  while (r.hi > r.lo && (r.hi - 1) * stride + shift >= in_size) --r.hi;
-  return r;
-}
-
 /// x: [N, C, H, W] -> cols: [N * OH * OW, C * KH * KW]. Out-of-bounds (padded)
 /// positions contribute 0.
 Tensor im2col(const Tensor& x, const Conv2dGeometry& g);

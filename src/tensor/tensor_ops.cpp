@@ -198,8 +198,10 @@ Tensor transpose2d(const Tensor& a) {
   DDNN_CHECK(a.ndim() == 2, "transpose2d needs a 2-D tensor");
   const std::int64_t m = a.dim(0), n = a.dim(1);
   Tensor t(Shape{n, m});
+  const float* pa = a.data();
+  float* pt = t.data();
   for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) t.at(j, i) = a.at(i, j);
+    for (std::int64_t j = 0; j < n; ++j) pt[j * m + i] = pa[i * n + j];
   }
   return t;
 }
@@ -228,11 +230,7 @@ std::vector<std::int64_t> argmax_rows(const Tensor& a) {
   DDNN_CHECK(n > 0, "argmax_rows with zero columns");
   std::vector<std::int64_t> out(static_cast<std::size_t>(m));
   for (std::int64_t i = 0; i < m; ++i) {
-    std::int64_t best = 0;
-    for (std::int64_t j = 1; j < n; ++j) {
-      if (a.at(i, j) > a.at(i, best)) best = j;
-    }
-    out[static_cast<std::size_t>(i)] = best;
+    out[static_cast<std::size_t>(i)] = argmax_row(a.data() + i * n, n);
   }
   return out;
 }
@@ -243,16 +241,18 @@ Tensor softmax_rows(const Tensor& a) {
   Tensor out(a.shape());
   parallel_for(0, m, row_grain(n * 8), [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
-      float mx = a.at(i, 0);
-      for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, a.at(i, j));
+      const float* in = a.data() + i * n;
+      float* o = out.data() + i * n;
+      float mx = in[0];
+      for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, in[j]);
       double denom = 0.0;
       for (std::int64_t j = 0; j < n; ++j) {
-        const float e = std::exp(a.at(i, j) - mx);
-        out.at(i, j) = e;
+        const float e = std::exp(in[j] - mx);
+        o[j] = e;
         denom += e;
       }
       for (std::int64_t j = 0; j < n; ++j) {
-        out.at(i, j) = static_cast<float>(out.at(i, j) / denom);
+        o[j] = static_cast<float>(o[j] / denom);
       }
     }
   });
@@ -264,8 +264,11 @@ Tensor add_row_vector(const Tensor& x, const Tensor& b) {
   DDNN_CHECK(x.dim(1) == b.dim(0), "add_row_vector: width mismatch");
   Tensor out(x.shape());
   const std::int64_t m = x.dim(0), n = x.dim(1);
+  const float* px = x.data();
+  const float* pb = b.data();
+  float* po = out.data();
   for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) out.at(i, j) = x.at(i, j) + b[j];
+    for (std::int64_t j = 0; j < n; ++j) po[i * n + j] = px[i * n + j] + pb[j];
   }
   return out;
 }
@@ -285,8 +288,10 @@ Tensor sum_rows(const Tensor& x) {
   DDNN_CHECK(x.ndim() == 2, "sum_rows needs a 2-D tensor");
   const std::int64_t m = x.dim(0), n = x.dim(1);
   Tensor out(Shape{n});
+  const float* px = x.data();
+  float* po = out.data();
   for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) out[j] += x.at(i, j);
+    for (std::int64_t j = 0; j < n; ++j) po[j] += px[i * n + j];
   }
   return out;
 }

@@ -52,7 +52,17 @@ float sum_all(const Tensor& a);
 float mean_all(const Tensor& a);
 float max_all(const Tensor& a);
 
-/// Row-wise argmax of a [m, n] matrix.
+/// Index of the first maximum of row[0, n) (n >= 1; a NaN is never picked
+/// over an earlier element).
+inline std::int64_t argmax_row(const float* row, std::int64_t n) {
+  std::int64_t best = 0;
+  for (std::int64_t j = 1; j < n; ++j) {
+    if (row[j] > row[best]) best = j;
+  }
+  return best;
+}
+
+/// Row-wise argmax_row of a [m, n] matrix.
 std::vector<std::int64_t> argmax_rows(const Tensor& a);
 
 /// Row-wise numerically-stable softmax of a [m, n] matrix.

@@ -291,10 +291,12 @@ std::string describe(const SweepGeometry& s) {
 }
 
 /// Each axis swept across its values around a base geometry: channel
-/// counts, filter counts that are not a multiple of the 4-filter block,
-/// widths that are not a multiple of the ox tile, every (kernel, stride,
-/// pad) combination and batch sizes. k1/p2 keeps outputs whose whole window
-/// is padding (zero in-bounds taps) in the sweep.
+/// counts, filter counts below, at and past the 4-filter tile (6 leaves a
+/// two-filter tail), widths on both sides of the 16-lane strip (8 and 16
+/// stack two output rows per tile; 17, 32 and 33 take side-by-side strips,
+/// and 32 is the device conv's width), every (kernel, stride, pad)
+/// combination and batch sizes. k1/p2 keeps outputs whose whole window is
+/// padding (zero in-bounds taps) in the sweep.
 std::vector<SweepGeometry> convp_sweep() {
   const SweepGeometry base{3, 3, 5, 17, 16, 3, 1, 1};
   std::vector<SweepGeometry> out;
@@ -304,12 +306,12 @@ std::vector<SweepGeometry> convp_sweep() {
     out.push_back(base);
     out.back().channels = c;
   }
-  for (const std::int64_t f : {1, 3, 4, 5, 16}) {
+  for (const std::int64_t f : {1, 3, 4, 5, 6, 8, 16}) {
     out.push_back(base);
     out.back().filters = f;
   }
   for (const std::int64_t h : {7, 16, 17, 33}) {
-    for (const std::int64_t w : {7, 16, 17, 33}) {
+    for (const std::int64_t w : {7, 8, 16, 17, 32, 33}) {
       out.push_back(base);
       out.back().h = h;
       out.back().w = w;
@@ -478,29 +480,39 @@ TEST(ConvPKernels, BlockPlansTwoWorkspaceTensors) {
 }
 
 TEST(ConvPKernels, PoolScanMatchesAutogradOnNonFiniteAndSignedZeros) {
-  // The clamped-window scan keeps autograd's tap order, -inf seed and `>`
-  // compare, so NaN taps are never selected and the first of +0/-0 wins.
+  // The separable scan keeps autograd's -inf seed and `>` compare and picks
+  // the first maximum in (ky, kx) order, so NaN taps are never selected and
+  // the first of +0/-0 wins.
   const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
                             std::numeric_limits<float>::infinity(),
                             -std::numeric_limits<float>::infinity(),
                             0.0f, -0.0f, -1.0f, 1.0f};
-  // Specials sit on the odd squares of a 9x9 checkerboard. autograd
-  // requires a finite winner in every window, and every clamped window here
-  // but a 1x1 one at stride 1 covers an even square (the corners are even).
   Rng rng(42);
-  Tensor x = Tensor::randn(Shape{2, 3, 9, 9}, rng);
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    const std::int64_t iy = (i / 9) % 9, ix = i % 9;
-    if ((iy + ix) % 2 == 1) x[i] = specials[(i / 2) % 7];
+  std::vector<Tensor> inputs;
+  for (const std::int64_t n : {9, 8, 16, 32}) {
+    // Specials sit on the odd squares of an n x n checkerboard. autograd
+    // requires a finite winner in every window. Every clamped window but a
+    // 1x1 one covers an even square, and only a corner window can clamp to
+    // 1x1 (k1 windows sit on even squares), so the corners stay finite.
+    Tensor x = Tensor::randn(Shape{2, 3, n, n}, rng);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      const std::int64_t iy = (i / n) % n, ix = i % n;
+      const bool corner = (iy == 0 || iy == n - 1) && (ix == 0 || ix == n - 1);
+      if ((iy + ix) % 2 == 1 && !corner) x[i] = specials[(i / 2) % 7];
+    }
+    inputs.push_back(x);
+    // Every window of a plane of +0/-0 ties (and some -1s) peaks at zero,
+    // so the winner's sign bit shows whether the taps were visited in
+    // order. Ties fall across window rows and columns and, at 32 wide,
+    // across the row pass's 16-lane vectors.
+    Tensor zeros(Shape{1, 2, n, n});
+    for (std::int64_t i = 0; i < zeros.numel(); ++i) {
+      const std::uint64_t r = rng.uniform_index(5);
+      zeros[i] = r < 2 ? 0.0f : (r < 4 ? -0.0f : -1.0f);
+    }
+    inputs.push_back(zeros);
   }
-  // Every window of a plane of +0/-0 ties (and some -1s) peaks at zero, so
-  // the winner's sign bit shows whether the taps were visited in order.
-  Tensor zeros(Shape{1, 2, 9, 9});
-  for (std::int64_t i = 0; i < zeros.numel(); ++i) {
-    const std::uint64_t r = rng.uniform_index(5);
-    zeros[i] = r < 2 ? 0.0f : (r < 4 ? -0.0f : -1.0f);
-  }
-  for (const Tensor& in : {x, zeros}) {
+  for (const Tensor& in : inputs) {
     for (const std::int64_t k : {1, 2, 3, 5}) {
       for (const std::int64_t st : {1, 2}) {
         for (const std::int64_t pad : {0, 1, 2}) {
@@ -509,8 +521,8 @@ TEST(ConvPKernels, PoolScanMatchesAutogradOnNonFiniteAndSignedZeros) {
           autograd::NoGradGuard no_grad;
           const Tensor ref = pool.forward(Variable(in)).value();
           infer::Workspace ws;
-          SCOPED_TRACE("k" + std::to_string(k) + " s" + std::to_string(st) +
-                       " p" + std::to_string(pad));
+          SCOPED_TRACE(in.shape().to_string() + " k" + std::to_string(k) +
+                       " s" + std::to_string(st) + " p" + std::to_string(pad));
           expect_bitwise_equal(pool.infer(in, ws), ref);
         }
       }

@@ -204,7 +204,9 @@ TEST_P(PolicyInvariants, FractionsSumToOneAndAreMonotone) {
     EXPECT_LE(r.overall_accuracy, 1.0);
     // Every decision's entropy must respect the exit rule.
     for (const auto& d : r.decisions) {
-      if (d.exit_taken == 0) EXPECT_LE(d.entropy, t + 1e-12);
+      if (d.exit_taken == 0) {
+        EXPECT_LE(d.entropy, t + 1e-12);
+      }
     }
   }
   EXPECT_DOUBLE_EQ(core::apply_policy(eval, {1.0}).local_exit_fraction(),

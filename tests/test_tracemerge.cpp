@@ -91,8 +91,13 @@ TEST(Json, RoundTripsSpanTracerOutput) {
 
 // ------------------------------------------------------------ trace merge
 
+/// Writes `tracer` to a temp file named after the running test as well, so
+/// tests run in parallel (ctest -j) never share a file.
 std::string write_trace(const std::string& name, const SpanTracer& tracer) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      name;
   tracer.write_json(path);
   return path;
 }

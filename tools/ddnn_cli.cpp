@@ -2,7 +2,7 @@
 //
 //   ddnn train    --preset c --filters 4 --epochs 40 --out model.ddnn
 //   ddnn eval     --model model.ddnn --preset c --filters 4 --threshold 0.8
-//   ddnn simulate --model model.ddnn --preset c --filters 4 --threshold 0.8 \
+//   ddnn simulate --model model.ddnn --preset c --filters 4 --threshold 0.8
 //                 --fail 1,6
 //   ddnn dataset  --out-dir views --samples 2
 //   ddnn report   --out results/report.html

@@ -99,68 +99,13 @@ double exit_accuracy(const ExitEval& eval, std::size_t exit_index) {
 
 namespace {
 
-/// apply_policy with sample i's confidence score and argmax prediction at
-/// exit e supplied by score(e, i) and pred(e, i).
-template <class Score, class Pred>
-PolicyResult run_policy(const ExitEval& eval,
-                        const std::vector<double>& thresholds,
-                        const Score& score, const Pred& pred) {
-  DDNN_CHECK(eval.num_exits() >= 1, "no exits");
-  DDNN_CHECK(thresholds.size() + 1 == eval.num_exits(),
-             "need one threshold per non-final exit: got "
-                 << thresholds.size() << " for " << eval.num_exits()
-                 << " exits");
-
-  PolicyResult result;
-  result.exit_fraction.assign(eval.num_exits(), 0.0);
-  result.decisions.assign(static_cast<std::size_t>(eval.sample_count()),
-                          SampleDecision{});
-  const std::size_t last = eval.num_exits() - 1;
-
-  // Per-sample decisions are independent; each chunk writes its own slice
-  // of `decisions`. The counting reduction stays serial (exact integer
-  // counts), so results are identical for every thread count.
-  parallel_for(0, eval.sample_count(), 256,
-               [&](std::int64_t lo, std::int64_t hi) {
-                 for (std::int64_t i = lo; i < hi; ++i) {
-                   SampleDecision d;
-                   d.exit_taken = static_cast<int>(last);
-                   for (std::size_t e = 0; e < thresholds.size(); ++e) {
-                     const double eta = score(e, i);
-                     if (should_exit(eta, thresholds[e])) {
-                       d.exit_taken = static_cast<int>(e);
-                       d.entropy = eta;
-                       break;
-                     }
-                   }
-                   const auto taken = static_cast<std::size_t>(d.exit_taken);
-                   if (taken == last) d.entropy = score(last, i);
-                   d.prediction = pred(taken, i);
-                   result.decisions[static_cast<std::size_t>(i)] = d;
-                 }
-               });
-
-  std::int64_t correct = 0;
-  for (std::int64_t i = 0; i < eval.sample_count(); ++i) {
-    const SampleDecision& d = result.decisions[static_cast<std::size_t>(i)];
-    if (d.prediction == eval.labels[static_cast<std::size_t>(i)]) ++correct;
-    result.exit_fraction[static_cast<std::size_t>(d.exit_taken)] += 1.0;
-  }
-  for (auto& f : result.exit_fraction) {
-    f /= static_cast<double>(eval.sample_count());
-  }
-  result.overall_accuracy =
-      static_cast<double>(correct) / static_cast<double>(eval.sample_count());
-  return result;
-}
-
-/// Every exit's normalized-entropy score and argmax for every sample,
-/// computed once so a threshold search replays only the decision rule.
-/// The scores come from the same confidence_score_row apply_policy calls,
-/// so each grid point's result is bit-identical to apply_policy's.
+/// Every exit's confidence score and argmax for every sample, computed once
+/// so that apply() replays only the decision rule. apply_policy is
+/// ScoredExits(eval, criterion).apply(thresholds), so a threshold search
+/// that scores once and applies many grid points gets the same bits.
 class ScoredExits {
  public:
-  explicit ScoredExits(const ExitEval& eval)
+  ScoredExits(const ExitEval& eval, ConfidenceCriterion criterion)
       : eval_(eval),
         n_(eval.sample_count()),
         scores_(eval.num_exits() * static_cast<std::size_t>(n_)),
@@ -170,20 +115,57 @@ class ScoredExits {
         const Tensor& probs = eval.exit_probs[e];
         const std::int64_t c = probs.dim(1);
         for (std::int64_t i = lo; i < hi; ++i) {
-          scores_[slot(e, i)] = confidence_score_row(
-              probs, i, ConfidenceCriterion::kNormalizedEntropy);
+          scores_[slot(e, i)] = confidence_score_row(probs, i, criterion);
           preds_[slot(e, i)] = ops::argmax_row(probs.data() + i * c, c);
         }
       }
     });
   }
 
-  /// apply_policy(eval, thresholds) from the cached scores.
   PolicyResult apply(const std::vector<double>& thresholds) const {
-    return run_policy(
-        eval_, thresholds,
-        [&](std::size_t e, std::int64_t i) { return scores_[slot(e, i)]; },
-        [&](std::size_t e, std::int64_t i) { return preds_[slot(e, i)]; });
+    DDNN_CHECK(eval_.num_exits() >= 1, "no exits");
+    DDNN_CHECK(thresholds.size() + 1 == eval_.num_exits(),
+               "need one threshold per non-final exit: got "
+                   << thresholds.size() << " for " << eval_.num_exits()
+                   << " exits");
+
+    PolicyResult result;
+    result.exit_fraction.assign(eval_.num_exits(), 0.0);
+    result.decisions.assign(static_cast<std::size_t>(n_), SampleDecision{});
+    const std::size_t last = eval_.num_exits() - 1;
+
+    // Per-sample decisions are independent; each chunk writes its own slice
+    // of `decisions`. The counting reduction stays serial (exact integer
+    // counts), so results are identical for every thread count.
+    parallel_for(0, n_, 256, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) {
+        SampleDecision d;
+        d.exit_taken = static_cast<int>(last);
+        for (std::size_t e = 0; e < thresholds.size(); ++e) {
+          const double eta = scores_[slot(e, i)];
+          if (should_exit(eta, thresholds[e])) {
+            d.exit_taken = static_cast<int>(e);
+            d.entropy = eta;
+            break;
+          }
+        }
+        const auto taken = static_cast<std::size_t>(d.exit_taken);
+        if (taken == last) d.entropy = scores_[slot(last, i)];
+        d.prediction = preds_[slot(taken, i)];
+        result.decisions[static_cast<std::size_t>(i)] = d;
+      }
+    });
+
+    std::int64_t correct = 0;
+    for (std::int64_t i = 0; i < n_; ++i) {
+      const SampleDecision& d = result.decisions[static_cast<std::size_t>(i)];
+      if (d.prediction == eval_.labels[static_cast<std::size_t>(i)]) ++correct;
+      result.exit_fraction[static_cast<std::size_t>(d.exit_taken)] += 1.0;
+    }
+    for (auto& f : result.exit_fraction) f /= static_cast<double>(n_);
+    result.overall_accuracy =
+        static_cast<double>(correct) / static_cast<double>(n_);
+    return result;
   }
 
  private:
@@ -202,22 +184,14 @@ class ScoredExits {
 PolicyResult apply_policy(const ExitEval& eval,
                           const std::vector<double>& thresholds,
                           ConfidenceCriterion criterion) {
-  return run_policy(
-      eval, thresholds,
-      [&](std::size_t e, std::int64_t i) {
-        return confidence_score_row(eval.exit_probs[e], i, criterion);
-      },
-      [&](std::size_t e, std::int64_t i) {
-        const Tensor& probs = eval.exit_probs[e];
-        return ops::argmax_row(probs.data() + i * probs.dim(1), probs.dim(1));
-      });
+  return ScoredExits(eval, criterion).apply(thresholds);
 }
 
 double search_threshold_best_overall(const ExitEval& eval, double step) {
   DDNN_CHECK(eval.num_exits() == 2,
              "threshold search implemented for 2-exit models");
   DDNN_CHECK(step > 0.0 && step <= 1.0, "bad grid step");
-  const ScoredExits scored(eval);
+  const ScoredExits scored(eval, ConfidenceCriterion::kNormalizedEntropy);
   double best_t = 0.0;
   double best_acc = -1.0;
   for (double t = 0.0; t <= 1.0 + 1e-9; t += step) {
@@ -274,7 +248,7 @@ std::vector<double> search_thresholds_best_overall(const ExitEval& eval,
     return thresholds;
   };
 
-  const ScoredExits scored(eval);
+  const ScoredExits scored(eval, ConfidenceCriterion::kNormalizedEntropy);
   std::vector<double> accs(static_cast<std::size_t>(total), 0.0);
   std::vector<double> depths(static_cast<std::size_t>(total), 0.0);
   parallel_for(0, total, 1, [&](std::int64_t lo, std::int64_t hi) {
@@ -307,7 +281,7 @@ double search_threshold_for_local_fraction(const ExitEval& eval,
              "threshold search implemented for 2-exit models");
   DDNN_CHECK(target_fraction >= 0.0 && target_fraction <= 1.0,
              "bad target fraction");
-  const ScoredExits scored(eval);
+  const ScoredExits scored(eval, ConfidenceCriterion::kNormalizedEntropy);
   for (double t = 0.0; t <= 1.0 + 1e-9; t += step) {
     const auto r = scored.apply({t});
     if (r.local_exit_fraction() >= target_fraction) return t;
